@@ -5,9 +5,19 @@ conv, dense) carry one numeric format at a time covering both their weights
 and their output activations; activations are fake-quantized at the ReLU
 following the layer.  Backprop uses the clipped straight-through estimator:
 quantizers pass gradients unchanged inside [-sigma_t, sigma_t] and block them
-outside.  Width search zeroes the top fraction of output channels with a
-mask; kernel search keeps one weight tensor per candidate kernel size and can
-average the branch outputs early in training.
+outside (bool masks).  Width search zeroes the top fraction of output
+channels with a mask; kernel search keeps one weight tensor per candidate
+kernel size and can average the branch outputs early in training.
+
+Convolutions run on BLAS: im2col is one copy of a strided view, the conv
+forward one `tensordot`, its backward a `tensordot` and a batched `matmul`,
+and the depthwise weight gradient a batched `matmul`.  Two rules hold results fixed.
+The forward summation order (conv `tensordot` operand order, depthwise
+`einsum`) must not change: under activation quantization some outputs cancel
+to exactly 0.0, and another order leaves +-1e-17 that flips the ReLU mask.
+Max pooling sends each window's gradient to its first maximum in row-major
+order, since quantized activations tie often.  `python3 bench/run.py
+--workload desk-int --trace 1` prints the time of each layer.
 
 Master weights stay in float64; quantization only shapes the forward views.
 Biases are not quantized (they ride in the accumulator).
@@ -162,8 +172,7 @@ class ComputeLayer(Layer):
             return w, None
         if fmt.kind == "bf16":
             return quantize(w, fmt), None
-        wq = quantize(w, fmt, threshold)
-        return wq, (np.abs(w) <= threshold).astype(np.float64)
+        return quantize(w, fmt, threshold), np.abs(w) <= threshold
 
 
 class Dense(ComputeLayer):
@@ -201,47 +210,36 @@ class Dense(ComputeLayer):
         if arch.width_mult != 1.0:
             mask = _mask_for(arch.width_mult, self.out_features)
             y = y * mask
-        ctx.update(x=x, ste=ste, mask=mask)
+        ctx.update(x=x, wq=wq, ste=ste, mask=mask)
         return y
 
     def backward(self, dy, ctx):
-        arch: ArchChoice = ctx["arch"]
         if ctx["mask"] is not None:
             dy = dy * ctx["mask"]
-        wq, _ = self.quant_weight(self.W, arch.fmt, ctx["w_threshold"], ctx["weight_quant"])
         dW = dy.T @ ctx["x"]
         if ctx["ste"] is not None:
             dW = dW * ctx["ste"]
         db = dy.sum(axis=0)
-        dx = dy @ wq
+        dx = dy @ ctx["wq"]
         return dx, {"W": dW, "b": db}
 
 
-def _pad_same(x, k):
+def _im2col(x, k):
+    """(n, c, k, k, h, w) same-padded patches: one copy of a strided window view."""
     p = k // 2
-    if p == 0:
-        return x, p
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), p
+    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
 
 
-def _im2col(x_pad, k, h_out, w_out):
-    n, c = x_pad.shape[:2]
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=x_pad.dtype)
+def _col2im(tap, shape, k):
+    """Sum tap(i, j), the (n, c, h, w) input gradient of kernel offset (i, j)."""
+    n, c, h, w = shape
+    p = k // 2
+    dx = np.zeros((n, c, h + 2 * p, w + 2 * p))
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = x_pad[:, :, i : i + h_out, j : j + w_out]
-    return cols
-
-
-def _col2im(dcols, n, c, h, w, k):
-    p = k // 2
-    dx = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
-    h_out, w_out = dcols.shape[-2:]
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + h_out, j : j + w_out] += dcols[:, :, i, j]
-    if p == 0:
-        return dx
+            dx[:, :, i : i + h, j : j + w] += tap(i, j)
     return dx[:, :, p : p + h, p : p + w]
 
 
@@ -287,9 +285,8 @@ class Conv2D(ComputeLayer):
 
     def _branch_forward(self, x, k, fmt, w_threshold, weight_quant):
         wq, ste = self.quant_weight(self.weights[k], fmt, w_threshold, weight_quant)
-        x_pad, _ = _pad_same(x, k)
         n, _, h, w = x.shape
-        cols = _im2col(x_pad, k, h, w)
+        cols = _im2col(x, k)
         cols_mat = cols.reshape(n, self.in_channels * k * k, h * w)
         w_mat = wq.reshape(self._out_channels, -1)
         y = np.tensordot(cols_mat, w_mat, axes=([1], [1]))
@@ -332,13 +329,12 @@ class Conv2D(ComputeLayer):
         for k in branches:
             wq, ste, cols_mat = ctx["saved"][k]
             w_mat = wq.reshape(self._out_channels, -1)
-            dW = np.einsum("nol,ncl->oc", dy_mat, cols_mat).reshape(wq.shape) * share
+            dW = np.tensordot(dy_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(wq.shape) * share
             if ste is not None:
                 dW = dW * ste
             grads[f"W{k}"] = dW
-            dcols = np.einsum("nol,oc->ncl", dy_mat, w_mat)
-            dcols = dcols.reshape(n, self.in_channels, k, k, h, w)
-            dx += _col2im(dcols, n, self.in_channels, h, w, k) * share
+            dcols = np.matmul(w_mat.T, dy_mat).reshape(n, self.in_channels, k, k, h, w)
+            dx += _col2im(lambda i, j: dcols[:, :, i, j], dx.shape, k) * share
         return dx, grads
 
 
@@ -392,8 +388,7 @@ class DepthwiseConv2D(ComputeLayer):
             wq, ste = self.quant_weight(
                 self.weights[k], arch.fmt, ctx["w_threshold"], ctx["weight_quant"]
             )
-            x_pad, _ = _pad_same(x, k)
-            cols = _im2col(x_pad, k, h, w)
+            cols = _im2col(x, k)
             y = np.einsum("ncijl,cij->ncl", cols.reshape(n, c, k, k, h * w), wq)
             outs.append(y.reshape(n, c, h, w) + self.b[None, :, None, None])
             saved[k] = (wq, ste, cols)
@@ -407,17 +402,16 @@ class DepthwiseConv2D(ComputeLayer):
         share = 1.0 / len(branches)
         dx = np.zeros(ctx["x_shape"])
         grads = {"b": dy.sum(axis=(0, 2, 3))}
-        dy_flat = dy.reshape(n, c, h * w)
+        dy_vec = dy.reshape(n, c, h * w, 1)
         for k in branches:
             wq, ste, cols = ctx["saved"][k]
-            cols_flat = cols.reshape(n, c, k, k, h * w)
-            dW = np.einsum("ncl,ncijl->cij", dy_flat, cols_flat) * share
+            dW = np.matmul(cols.reshape(n, c, k * k, h * w), dy_vec).sum(axis=0)
+            dW = dW.reshape(wq.shape) * share
             if ste is not None:
                 dW = dW * ste
             grads[f"W{k}"] = dW
-            dcols = np.einsum("ncl,cij->ncijl", dy_flat, wq)
-            dcols = dcols.reshape(n, c, k, k, h, w)
-            dx += _col2im(dcols, n, c, h, w, k) * share
+            # dcols is the outer product dy * w: form it one tap at a time
+            dx += _col2im(lambda i, j: dy * wq[None, :, i, j, None, None], dx.shape, k) * share
         return dx, grads
 
 
@@ -442,7 +436,7 @@ class ReLU(Layer):
             else:
                 t = ctx["a_threshold"]
                 y = quantize(y, arch.fmt, t)
-                ctx["ste"] = (np.abs(ctx["pre_quant"]) <= t).astype(np.float64)
+                ctx["ste"] = ctx["pre_quant"] <= t
         else:
             ctx["ste"] = None
         return y
@@ -467,20 +461,22 @@ class MaxPool2D(Layer):
             raise ConfigError(
                 f"layer {self.name!r}: spatial dims {h}x{w} not divisible by pool size {s}"
             )
-        windows = x.reshape(n, c, h // s, s, w // s, s)
-        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // s, w // s, s * s)
-        idx = windows.argmax(axis=-1)
-        y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        # offsets in row-major window order; strict > keeps the first max
+        y = x[:, :, ::s, ::s]
+        idx = np.zeros(y.shape, dtype=np.intp)
+        for o in range(1, s * s):
+            cand = x[:, :, o // s :: s, o % s :: s]
+            better = cand > y
+            y = np.where(better, cand, y)
+            np.copyto(idx, o, where=better)
         ctx.update(idx=idx, in_shape=x.shape)
         return y
 
     def backward(self, dy, ctx):
         s = self.size
-        n, c, h, w = ctx["in_shape"]
-        windows = np.zeros((n, c, h // s, w // s, s * s))
-        np.put_along_axis(windows, ctx["idx"][..., None], dy[..., None], axis=-1)
-        dx = windows.reshape(n, c, h // s, w // s, s, s)
-        dx = dx.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        dx = np.empty(ctx["in_shape"])
+        for o in range(s * s):
+            np.multiply(dy, ctx["idx"] == o, out=dx[:, :, o // s :: s, o % s :: s])
         return dx, {}
 
 

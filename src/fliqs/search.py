@@ -487,10 +487,15 @@ def run_uniform(cfg: SearchConfig, fmt=None) -> SearchResult:
 
 
 def serve_config(result: SearchResult) -> dict:
-    """Serving document: per-layer choices plus the thresholds they ran with."""
+    """Serving document: every compute layer's choice plus the thresholds it ran with.
+
+    Pinned layers are written with their fixed format, so a pinned quantized
+    layer's thresholds travel with the files like a searched layer's do.
+    """
     layers = []
-    for name in result.layer_names:
-        arch = result.final_archs[name]
+    for layer in result.net.compute_layers():
+        name = layer.name
+        arch = result.final_archs.get(name, ArchChoice(layer.fixed_format))
         if arch.fmt.kind == "bf16":
             w_t = None
             a_t = None

@@ -2,8 +2,9 @@
 
 The oracle shares only the unavoidable prelude with the implementation
 (clipping and the threshold-to-scale mapping); the rounding decision itself
-is a linear scan over every representable value with explicit tie handling
-(ties go to the even integer / even mantissa encoding).
+compares each input with every representable value, in blocks of a distance
+matrix, with explicit tie handling (ties go to the even integer / even
+mantissa encoding).
 """
 
 import struct
@@ -31,37 +32,38 @@ def oracle_quantize(x, fmt, threshold):
     return snapped / m * t
 
 
+# Distance-matrix entries per block: bounds the oracle's memory, not its result.
+_BLOCK = 1 << 20
+
+
+def _nearest(y, values, even):
+    """Per element of y, the closest entry of values by exhaustive search.
+
+    Every element is compared with every representable value.  Exact ties go
+    to the first tied entry marked even, or to the first tied entry if none is.
+    """
+    flat = np.asarray(y, dtype=np.float64).reshape(-1)
+    out = np.empty_like(flat)
+    step = max(1, _BLOCK // len(values))
+    for start in range(0, flat.size, step):
+        v = flat[start : start + step]
+        d = np.abs(values[None, :] - v[:, None])
+        tied = d == d.min(axis=1, keepdims=True)
+        even_tied = tied & even[None, :]
+        pick = np.where(even_tied.any(axis=1), even_tied.argmax(axis=1), tied.argmax(axis=1))
+        out[start : start + step] = values[pick]
+    return out.reshape(np.shape(y))
+
+
 def _nearest_int_index(y, qmax):
     """Per element, the integer in [-qmax, qmax] closest to y; ties to even."""
     candidates = np.arange(-qmax, qmax + 1, dtype=np.float64)
-    out = np.empty_like(np.asarray(y, dtype=np.float64))
-    flat = out.reshape(-1)
-    for j, v in enumerate(np.asarray(y, dtype=np.float64).reshape(-1)):
-        d = np.abs(candidates - v)
-        dmin = d.min()
-        tied = candidates[d == dmin]
-        if len(tied) == 1:
-            flat[j] = tied[0]
-        else:
-            even = tied[np.asarray(tied, dtype=np.int64) % 2 == 0]
-            flat[j] = even[0] if len(even) else tied[0]
-    return out
+    return _nearest(y, candidates, np.arange(-qmax, qmax + 1) % 2 == 0)
 
 
 def _nearest_float_value(y, values, parity):
     """Per element, the closest enumerated minifloat value; ties to even mantissa."""
-    out = np.empty_like(np.asarray(y, dtype=np.float64))
-    flat = out.reshape(-1)
-    for j, v in enumerate(np.asarray(y, dtype=np.float64).reshape(-1)):
-        d = np.abs(values - v)
-        dmin = d.min()
-        tied = np.flatnonzero(d == dmin)
-        if len(tied) == 1:
-            flat[j] = values[tied[0]]
-        else:
-            even = [i for i in tied if parity[i] == 0]
-            flat[j] = values[even[0]] if even else values[tied[0]]
-    return out
+    return _nearest(y, values, parity == 0)
 
 
 def oracle_bf16(x):

@@ -9,6 +9,7 @@ from fliqs.errors import ConfigError, DataError, DomainError, ThresholdError
 from fliqs.formats import int_format, resolve_format
 from fliqs.network import (
     Dense,
+    MaxPool2D,
     QuantPhase,
     SGDState,
     ThresholdTable,
@@ -29,6 +30,7 @@ from fliqs.network import (
     update_weight_thresholds,
     _mask_for,
 )
+from layer_reference import maxpool_backward, maxpool_forward, reference_step
 
 BF16 = resolve_format("BF16")
 
@@ -519,3 +521,93 @@ class TestKernelBranches:
         base = net.layer_by_name("c1").base_macs
         assert c1.mac_table["w1_k3"] == base
         assert c1.mac_table["w1_k5"] == int(round(base * 25 / 9))
+
+
+class TestLayerKernels:
+    """The vectorised kernels against the loop reference in layer_reference.py."""
+
+    # c0 has no ReLU, so the tested layer's input stays off any quantization
+    # grid: a sum of grid products can cancel to 0.0 in one summation order and
+    # to +-1e-17 in another, flipping the ReLU mask in one and not the other.
+    # c0's weight gradient checks the tested layer's input gradient.
+    CONV_NET = [
+        {"type": "conv", "name": "c0", "out_channels": 3, "kernel": 1},
+        {"type": "conv", "name": "c1", "out_channels": 4, "kernel": 3},
+        {"type": "relu"},
+        {"type": "maxpool", "size": 2},
+        {"type": "flatten"},
+        {"type": "dense", "name": "fc", "out_features": 3},
+    ]
+    DW_NET = [
+        {"type": "conv", "name": "c0", "out_channels": 3, "kernel": 1},
+        {"type": "depthwise_conv", "name": "dw", "kernel": 3, "kernel_options": [3, 5]},
+        {"type": "relu"},
+        {"type": "maxpool", "size": 2},
+        {"type": "flatten"},
+        {"type": "dense", "name": "fc", "out_features": 3},
+    ]
+    SETTINGS = [("BF16", False, False), ("INT4", True, False), ("E2M1", True, False),
+                ("INT4", True, True), ("E2M1", True, True)]
+
+    @staticmethod
+    def _rel(got, want):
+        return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+    @pytest.mark.parametrize("fmt,weight_quant,act_quant", SETTINGS)
+    @pytest.mark.parametrize("layers,kernel,joint", [
+        ("CONV_NET", None, False),
+        ("DW_NET", None, True),
+        ("DW_NET", 3, False),
+        ("DW_NET", 5, False),
+    ])
+    def test_matches_loop_reference(self, layers, kernel, joint, fmt, weight_quant,
+                                    act_quant):
+        layers = getattr(self, layers)
+        net = build_model({"name": "k", "input_shape": [2, 6, 6], "classes": 3,
+                           "layers": layers}, seed=5)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 2, 6, 6))
+        labels = rng.integers(0, 3, size=4)
+        archs = {l.name: arch_for(fmt, kernel=kernel if l.kind == "depthwise_conv" else None)
+                 for l in net.compute_layers()}
+        table = ThresholdTable()
+        limits = {}
+        for l in net.compute_layers():
+            w_t = 0.7 * l.max_abs_weight()
+            a_t = None if l.name in ("c0", "fc") else 1.0
+            table.set(l.name, fmt, w_t, a_t)
+            limits[l.name] = (w_t, a_t)
+        phase = QuantPhase(weight_quant, act_quant)
+        logits, cache = forward(net, x, archs, phase, table, joint_branches=joint)
+        grads = backward(net, cache, labels)
+        want_logits, want_grads = reference_step(
+            layers, net.parameters(), x, labels, archs, weight_quant, act_quant,
+            limits, joint_branches=joint)
+        assert self._rel(logits, want_logits) <= 1e-12
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g.keys() == want_grads[name].keys(), name
+            for key, arr in g.items():
+                assert self._rel(arr, want_grads[name][key]) <= 1e-12, (name, key)
+
+    def test_maxpool_matches_reference_on_tied_input(self):
+        rng = np.random.default_rng(2)
+        x = rng.integers(0, 3, size=(2, 3, 6, 6)).astype(np.float64)
+        dy = rng.normal(size=(2, 3, 3, 3))
+        pool = MaxPool2D("p", 2)
+        ctx = {}
+        y = pool.forward(x, ctx)
+        dx, _ = pool.backward(dy, ctx)
+        want_y, winners = maxpool_forward(x, 2)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(dx, maxpool_backward(x.shape, winners, dy))
+
+    def test_maxpool_tie_goes_to_first_element(self):
+        x = np.array([[[[1.0, 1.0, 2.0, 5.0],
+                        [1.0, 1.0, 5.0, 4.0]]]])
+        pool = MaxPool2D("p", 2)
+        ctx = {}
+        assert np.array_equal(pool.forward(x, ctx), [[[[1.0, 5.0]]]])
+        dx, _ = pool.backward(np.array([[[[3.0, 7.0]]]]), ctx)
+        assert np.array_equal(dx, [[[[3.0, 0.0, 0.0, 7.0],
+                                     [0.0, 0.0, 0.0, 0.0]]]])

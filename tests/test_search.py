@@ -189,6 +189,25 @@ class TestSearchRun:
         again = served_accuracy_from_files(doc, wpath, ds, plan)
         assert again == res.served_accuracy
 
+    def test_pinned_quantized_layer_serves_from_files(self, tmp_path):
+        from fliqs.network import builtin_model_config, save_weights
+
+        model = builtin_model_config("mlp-2x16", input_shape=[12], classes=4)
+        fc1 = next(l for l in model["layers"] if l.get("name") == "fc1")
+        fc1.update(searchable=False, fixed_format="INT8")
+        res = run_search(_cfg(model=model, total_steps=80, seed=3))
+        assert res.layer_names == ["fc2", "out"]
+        doc = json.loads(json.dumps(serve_config(res)))
+        by_name = {e["name"]: e for e in doc["layers"]}
+        assert by_name["fc1"]["format"] == "INT8"
+        assert by_name["fc1"]["weight_threshold"] > 0
+        wpath = tmp_path / "weights.bin"
+        save_weights(res.net, wpath)
+        ds = build_dataset(res.config.data, res.config.seed)
+        plan = BatchPlan(res.config.trainer.batch_size, res.config.seed,
+                         res.config.trainer.validation_fraction)
+        assert served_accuracy_from_files(doc, wpath, ds, plan) == res.served_accuracy
+
     def test_serve_config_carries_thresholds(self, search_result):
         doc = serve_config(search_result)
         assert doc["weights_file"] == "weights.bin"
