@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .formats import NumericFormat, resolve_format
 
 
@@ -22,7 +23,7 @@ class ArchChoice:
 
     def __post_init__(self):
         if not 0.0 < self.width_mult <= 1.0:
-            raise ValueError(f"width multiplier must be in (0, 1], got {self.width_mult}")
+            raise ConfigError(f"width multiplier must be in (0, 1], got {self.width_mult}")
 
     @property
     def label(self) -> str:
@@ -41,12 +42,16 @@ class ArchChoice:
         width = 1.0
         kernel = None
         for p in parts[1:]:
-            if p.startswith("w"):
-                width = float(p[1:])
-            elif p.startswith("k"):
-                kernel = int(p[1:])
-            else:
-                raise ValueError(f"bad arch label component {p!r} in {label!r}")
+            try:
+                if p.startswith("w"):
+                    width = float(p[1:])
+                    continue
+                if p.startswith("k"):
+                    kernel = int(p[1:])
+                    continue
+            except ValueError:
+                pass
+            raise ConfigError(f"bad arch label component {p!r} in {label!r}")
         return cls(fmt, width, kernel)
 
 

@@ -40,6 +40,8 @@ def _load_json(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except (OSError, ValueError) as e:  # a directory, undecodable bytes, over-long integers
+        raise ConfigError(f"{p}: cannot read JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
     return doc
@@ -56,7 +58,7 @@ def _apply_overrides(doc: dict, assignments) -> dict:
             raise ConfigError(f"--set: empty path component in {key!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = doc
         for part in parts[:-1]:
@@ -186,10 +188,14 @@ def _sweep_rows(doc: dict):
             raise ConfigError("sweep config: pareto sweeps need a list of 'targets' in GBOPs")
         if "formats" in doc:
             raise ConfigError("sweep config: 'formats' only applies to uniform-formats sweeps")
+        try:
+            targets = [float(t) for t in targets]
+        except OverflowError:
+            raise ConfigError("sweep config: a target is too large for a float") from None
         for target in targets:
             for seed in seeds:
                 row = dict(base)
-                row["cost_target_gbops"] = float(target)
+                row["cost_target_gbops"] = target
                 row["seed"] = seed
                 rows.append(("search", row, f"t{target:g}"))
     else:
@@ -219,8 +225,12 @@ def _sweep_worker(job):
     _write_json(path / "resolved_config.json", _resolved_doc(cfg, command))
     try:
         result = run_search(cfg) if command == "search" else run_uniform(cfg)
-    except SearchAbort as e:
-        _flush_partial_trace(path, e)
+    except (ConfigError, FormatSpecError, ManifestError):
+        raise  # a config error is the whole sweep's, as under `fliqs search`
+    except FliqsError as e:
+        # a failed row fails only that row; the other rows still run
+        if isinstance(e, SearchAbort):
+            _flush_partial_trace(path, e)
         return {"status": "error", "error": str(e),
                 "served_accuracy": "", "served_cost_gbops": ""}
     _write_run_artifacts(path, result)

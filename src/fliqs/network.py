@@ -972,29 +972,40 @@ def save_weights(net: Network, path) -> None:
 
 def load_weight_arrays(path) -> dict[str, np.ndarray]:
     """Read a checkpoint into {'layer/param': float64 array}."""
-    buf = open(path, "rb").read()
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read checkpoint: {e.strerror}") from None
     if buf[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic {buf[:4]!r}")
-    version, count = struct.unpack_from("<LL", buf, 4)
+    off = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if len(buf) - off < n:
+            raise DataError(f"{path}: truncated {what} at byte offset {off}: "
+                            f"need {n} bytes, {len(buf) - off} left")
+        off += n
+        return buf[off - n : off]
+
+    version, count = struct.unpack("<LL", take(8, "header"))
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
     metas = []
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}L", buf, off)
-        off += 4 * ndim
+        (nlen,) = struct.unpack("<H", take(2, "layer table"))
+        try:
+            name = take(nlen, "layer table").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: layer name is not UTF-8 before byte offset {off}") from None
+        (ndim,) = struct.unpack("<B", take(1, "layer table"))
+        shape = struct.unpack(f"<{ndim}L", take(4 * ndim, "layer table"))
         metas.append((name, shape))
     out = {}
     for name, shape in metas:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(buf, dtype="<f4", count=n, offset=off)
-        off += 4 * n
+        n = math.prod(shape)
+        arr = np.frombuffer(take(4 * n, f"payload of {name}"), dtype="<f4")
         out[name] = arr.reshape(shape).astype(np.float64)
     if off != len(buf):
         raise DataError(f"{path}: {len(buf) - off} trailing bytes after payload")

@@ -13,8 +13,14 @@ weights, with no retraining pass.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
+import types
+import typing
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +61,17 @@ from .network import (
 from .quantize import quantize
 
 
+# The run config.  Each field's type hint, default and range below is its one
+# definition: search_config_from_dict checks JSON against the hints, the
+# __post_init__ methods check the ranges, and README.md's "Run config
+# reference" table lists the same fields.
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+
+
 @dataclass
 class ControllerConfig:
     lr: float = 4.6e-3
@@ -65,6 +82,18 @@ class ControllerConfig:
     entropy_schedule: str = "cosine"
     reward_ema_decay: float = 0.9
 
+    def __post_init__(self):
+        _require(self.lr >= 0.0, "lr", ">= 0", self.lr)
+        _require(0.0 <= self.beta1 < 1.0, "beta1", "in [0, 1)", self.beta1)
+        _require(0.0 <= self.beta2 < 1.0, "beta2", "in [0, 1)", self.beta2)
+        _require(self.eps > 0.0, "eps", "positive", self.eps)
+        _require(self.entropy_beta_end >= 0.0, "entropy_beta_end", ">= 0",
+                 self.entropy_beta_end)
+        _require(self.entropy_schedule in ("cosine", "constant"), "entropy_schedule",
+                 "'cosine' or 'constant'", self.entropy_schedule)
+        _require(0.0 <= self.reward_ema_decay < 1.0, "reward_ema_decay", "in [0, 1)",
+                 self.reward_ema_decay)
+
 
 @dataclass
 class TrainerConfig:
@@ -74,15 +103,30 @@ class TrainerConfig:
     weight_decay: float = 0.0
     validation_fraction: float = 0.1
 
+    def __post_init__(self):
+        _require(self.batch_size >= 1, "batch_size", "positive", self.batch_size)
+        _require(self.lr >= 0.0, "lr", ">= 0", self.lr)
+        _require(0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)", self.momentum)
+        _require(self.weight_decay >= 0.0, "weight_decay", ">= 0", self.weight_decay)
+        _require(0.0 <= self.validation_fraction < 1.0, "validation_fraction", "in [0, 1)",
+                 self.validation_fraction)
+
+
+class StdMultiple(NamedTuple):
+    """Activation clip row: formats of at most max_bits bits clip at multiple * std."""
+
+    max_bits: int | None
+    multiple: float
+
 
 @dataclass
 class SearchConfig:
-    model: object = "cnn-small"
+    model: str | dict = "cnn-small"
     data: dict = field(default_factory=lambda: {
         "kind": "blobs", "classes": 10, "dims": 16, "n_per_class": 200,
         "separation": 3.0,
     })
-    search_space: object = "FLIQS-S-int"
+    search_space: str | list[str] = "FLIQS-S-int"
     total_steps: int = 1000
     warmup_fraction: float = 0.25
     act_quant_start_fraction: float = 0.2
@@ -91,38 +135,152 @@ class SearchConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     profile_batches: int = 4
-    std_multiples: tuple = DEFAULT_STD_MULTIPLES
+    std_multiples: tuple[StdMultiple, ...] = DEFAULT_STD_MULTIPLES
     seed: int = 0
     track_switching: bool = True
     format: str | None = None
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be positive, got {self.total_steps}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}")
-        if not 0.0 <= self.act_quant_start_fraction <= 1.0:
-            raise ConfigError(
-                f"act_quant_start_fraction must be in [0, 1], got {self.act_quant_start_fraction}"
-            )
+        _check_data(self.data)
+        _require(self.total_steps >= 1, "total_steps", "positive", self.total_steps)
+        _require(0.0 <= self.warmup_fraction < 1.0, "warmup_fraction", "in [0, 1)",
+                 self.warmup_fraction)
+        _require(0.0 <= self.act_quant_start_fraction <= 1.0, "act_quant_start_fraction",
+                 "in [0, 1]", self.act_quant_start_fraction)
+        _require(self.cost_target_gbops is None or self.cost_target_gbops > 0.0,
+                 "cost_target_gbops", "positive or null", self.cost_target_gbops)
+        _require(self.cost_gamma <= 0.0, "cost_gamma", "<= 0", self.cost_gamma)
+        _require(self.profile_batches >= 1, "profile_batches", "positive", self.profile_batches)
+        if not self.std_multiples or self.std_multiples[-1][0] is not None:
+            raise ConfigError("std_multiples: last row must have null max_bits (catch-all)")
+        for i, (max_bits, multiple) in enumerate(self.std_multiples):
+            _require(max_bits is None or max_bits >= 1, f"std_multiples[{i}].max_bits",
+                     "positive or null", max_bits)
+            _require(multiple > 0.0, f"std_multiples[{i}].multiple", "positive", multiple)
+        _require(self.seed >= 0, "seed", ">= 0", self.seed)
 
 
+# The data block stays a plain dict; each kind's keys and their types.
 _DATA_KEYS = {
-    "blobs": {"kind", "classes", "dims", "n_per_class", "separation"},
-    "idx": {"kind", "images", "labels", "limit", "classes"},
+    "blobs": {"kind": str, "classes": int, "dims": int, "n_per_class": int,
+              "separation": float},
+    "idx": {"kind": str, "images": str, "labels": str, "limit": int | None,
+            "classes": int | None},
 }
 
 
-def build_dataset(data_cfg: dict, seed: int) -> Dataset:
-    if not isinstance(data_cfg, dict) or "kind" not in data_cfg:
-        raise ConfigError("data config must be an object with a 'kind'")
-    kind = data_cfg["kind"]
-    if kind not in _DATA_KEYS:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    unknown = set(data_cfg) - _DATA_KEYS[kind]
+def _check_data(data) -> None:
+    """Check a data block's kind, keys and value types against _DATA_KEYS."""
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ConfigError("data must be an object with a 'kind'")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _DATA_KEYS:
+        raise ConfigError(f"data.kind: unknown data kind {kind!r}")
+    keys = _DATA_KEYS[kind]
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ConfigError(f"data config: unknown keys {sorted(unknown)}")
-    if kind == "blobs":
+        raise ConfigError(f"data: unknown keys {unknown}")
+    for key, hint in keys.items():
+        if key in data:
+            _convert(data[key], hint, f"data.{key}")
+    if kind == "idx":
+        for key in ("images", "labels"):
+            if key not in data:
+                raise ConfigError(f"data: missing key {key!r}")
+
+
+# JSON kinds, named as the Python types json.loads gives; bool comes before
+# int because a bool is an int.
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", tuple: "a list", dict: "an object", type(None): "null"}
+
+
+def _shape(hint) -> type:
+    """The JSON kind a hint that is not a union takes."""
+    if dataclasses.is_dataclass(hint):
+        return dict
+    origin = typing.get_origin(hint) or hint
+    return list if issubclass(origin, tuple) else origin
+
+
+def _kind(value) -> type:
+    kind = next((t for t in _KIND_NAMES if isinstance(value, t)), type(value))
+    return list if kind is tuple else kind
+
+
+def _describe(hint) -> str:
+    if typing.get_origin(hint) is types.UnionType:
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    if hasattr(hint, "_fields"):
+        return f"[{', '.join(hint._fields)}]"
+    return _KIND_NAMES[_shape(hint)]
+
+
+def _convert(value, hint, where: str):
+    """Check a parsed JSON value against a type hint and return it in that type.
+
+    A bool is not a number, null fits only `X | None`, ints become floats for
+    float fields, lists become tuples for tuple fields, and objects become
+    dataclasses.  Errors are ConfigErrors naming the dotted path `where`.
+    """
+    arms = typing.get_args(hint) if typing.get_origin(hint) is types.UnionType else (hint,)
+    kind = _kind(value)
+    takes = {kind, float} if kind is int else {kind}  # an integer is also a number
+    arm = next((a for a in arms if _shape(a) in takes), None)
+    if arm is None:
+        raise ConfigError(f"{where} must be {_describe(hint)}, "
+                          f"got {_KIND_NAMES.get(kind, 'a value')}")
+    if dataclasses.is_dataclass(arm):
+        unknown = sorted(set(value) - {f.name for f in dataclasses.fields(arm)})
+        if unknown:
+            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+        hints = typing.get_type_hints(arm)
+        kwargs = {k: _convert(v, hints[k], f"{where}.{k}") for k, v in value.items()}
+        try:
+            return arm(**kwargs)
+        except ConfigError as e:
+            raise ConfigError(f"{where}.{e}") from None
+    if arm is float:
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be a finite number, "
+                              "got an integer too large for a float") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        return number
+    if hasattr(arm, "_fields"):
+        if len(value) != len(arm._fields):
+            raise ConfigError(f"{where} must be {_describe(arm)}, got {len(value)} items")
+        hints = typing.get_type_hints(arm)
+        return arm(*(_convert(v, hints[n], f"{where}.{n}") for n, v in zip(arm._fields, value)))
+    if kind is list:
+        items = [_convert(v, typing.get_args(arm)[0], f"{where}[{i}]")
+                 for i, v in enumerate(value)]
+        return tuple(items) if typing.get_origin(arm) is tuple else items
+    return value
+
+
+def search_config_from_dict(doc) -> SearchConfig:
+    """Build a SearchConfig from parsed JSON; bad keys, types or ranges raise ConfigError."""
+    return _convert(doc, SearchConfig, "config")
+
+
+def _plain(value):
+    """asdict output with tuples as lists, as json.loads gives it back."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return [_plain(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
+def search_config_to_dict(cfg: SearchConfig) -> dict:
+    """JSON form of a config, for resolved_config.json; search_config_from_dict reads it back."""
+    return _plain(dataclasses.asdict(cfg))
+
+
+def build_dataset(data_cfg: dict, seed: int) -> Dataset:
+    _check_data(data_cfg)
+    if data_cfg["kind"] == "blobs":
         return synth_blobs(
             classes=data_cfg.get("classes", 10),
             dims=data_cfg.get("dims", 16),
@@ -130,12 +288,13 @@ def build_dataset(data_cfg: dict, seed: int) -> Dataset:
             separation=data_cfg.get("separation", 3.0),
             seed=seed,
         )
+    images, labels = data_cfg["images"], data_cfg["labels"]
     try:
-        images, labels = data_cfg["images"], data_cfg["labels"]
-    except KeyError as e:
-        raise ConfigError(f"idx data config: missing key {e}") from None
-    return load_idx(images, labels, limit=data_cfg.get("limit"),
-                    classes=data_cfg.get("classes"))
+        return load_idx(images, labels, limit=data_cfg.get("limit"),
+                        classes=data_cfg.get("classes"))
+    except OSError as e:
+        key = "labels" if e.filename and Path(e.filename) == Path(labels) else "images"
+        raise ConfigError(f"data.{key}: cannot read {data_cfg[key]}: {e.strerror}") from None
 
 
 @dataclass
@@ -531,6 +690,13 @@ def load_served(doc: dict, weights_path):
     """Rebuild (net, archs, thresholds) from a serving document + checkpoint."""
     from .network import load_weights
 
+    for key in ("model", "layers"):
+        if key not in doc:
+            raise ConfigError(f"served config: missing key {key!r}")
+    for i, entry in enumerate(doc["layers"]):
+        for key in ("name", "format"):
+            if key not in entry:
+                raise ConfigError(f"served config: layers[{i}] missing key {key!r}")
     model_doc = doc["model"]
     if isinstance(model_doc, dict) and "builtin" in model_doc:
         net = build_model(model_doc["builtin"], seed=0,
@@ -560,181 +726,3 @@ def served_accuracy_from_files(doc: dict, weights_path, dataset: Dataset,
     phase = QuantPhase(weight_quant=True, act_quant=True)
     return evaluate_accuracy(net, val_images, val_labels, archs, phase,
                              thresholds, plan.batch_size)
-
-
-_TOP_KEYS = {
-    "model", "data", "search_space", "total_steps", "warmup_fraction",
-    "act_quant_start_fraction", "cost_target_gbops", "cost_gamma",
-    "controller", "trainer", "profile_batches", "std_multiples", "seed",
-    "track_switching", "format",
-}
-_CONTROLLER_KEYS = {"lr", "beta1", "beta2", "eps", "entropy_beta_end",
-                    "entropy_schedule", "reward_ema_decay"}
-_TRAINER_KEYS = {"batch_size", "lr", "momentum", "weight_decay",
-                 "validation_fraction"}
-
-
-def _want(doc, key, types, where):
-    if key not in doc:
-        return None
-    v = doc[key]
-    if isinstance(v, bool) and bool not in types:
-        raise ConfigError(f"{where}.{key}: expected {types}, got a boolean")
-    if not isinstance(v, types):
-        names = "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        raise ConfigError(f"{where}.{key}: expected {names}, got {type(v).__name__}")
-    return v
-
-
-def _std_multiples_from(doc):
-    rows = doc.get("std_multiples")
-    if rows is None:
-        return DEFAULT_STD_MULTIPLES
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError("config.std_multiples: expected a non-empty list of [max_bits, multiple]")
-    out = []
-    for i, row in enumerate(rows):
-        if (not isinstance(row, list)) or len(row) != 2:
-            raise ConfigError(f"config.std_multiples[{i}]: expected [max_bits, multiple]")
-        max_bits, mult = row
-        if max_bits is not None and (isinstance(max_bits, bool) or not isinstance(max_bits, int)):
-            raise ConfigError(f"config.std_multiples[{i}]: max_bits must be an integer or null")
-        if not isinstance(mult, (int, float)) or isinstance(mult, bool):
-            raise ConfigError(f"config.std_multiples[{i}]: multiple must be a number")
-        out.append((max_bits, float(mult)))
-    if out[-1][0] is not None:
-        raise ConfigError("config.std_multiples: last row must have null max_bits (catch-all)")
-    return tuple(out)
-
-
-def search_config_from_dict(doc: dict) -> SearchConfig:
-    """Build a SearchConfig from parsed JSON, rejecting unknown keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"config: unknown key {unknown[0]!r}")
-    cfg = SearchConfig()
-
-    model = doc.get("model", cfg.model)
-    if not isinstance(model, (str, dict)):
-        raise ConfigError("config.model: expected a model name or an inline object")
-    space = doc.get("search_space", cfg.search_space)
-    if not isinstance(space, (str, list)):
-        raise ConfigError("config.search_space: expected a name or a list of formats")
-
-    ctrl = ControllerConfig()
-    sub = doc.get("controller")
-    if sub is not None:
-        if not isinstance(sub, dict):
-            raise ConfigError("config.controller: expected an object")
-        unknown = sorted(set(sub) - _CONTROLLER_KEYS)
-        if unknown:
-            raise ConfigError(f"config.controller: unknown key {unknown[0]!r}")
-        ctrl = ControllerConfig(
-            lr=float(_want(sub, "lr", (int, float), "controller") or ctrl.lr),
-            beta1=float(sub.get("beta1", ctrl.beta1)),
-            beta2=float(sub.get("beta2", ctrl.beta2)),
-            eps=float(sub.get("eps", ctrl.eps)),
-            entropy_beta_end=float(sub.get("entropy_beta_end", ctrl.entropy_beta_end)),
-            entropy_schedule=str(sub.get("entropy_schedule", ctrl.entropy_schedule)),
-            reward_ema_decay=float(sub.get("reward_ema_decay", ctrl.reward_ema_decay)),
-        )
-        if ctrl.entropy_schedule not in ("cosine", "constant"):
-            raise ConfigError(
-                f"config.controller.entropy_schedule: unknown kind {ctrl.entropy_schedule!r}"
-            )
-
-    tr = TrainerConfig()
-    sub = doc.get("trainer")
-    if sub is not None:
-        if not isinstance(sub, dict):
-            raise ConfigError("config.trainer: expected an object")
-        unknown = sorted(set(sub) - _TRAINER_KEYS)
-        if unknown:
-            raise ConfigError(f"config.trainer: unknown key {unknown[0]!r}")
-        bs = sub.get("batch_size", tr.batch_size)
-        if isinstance(bs, bool) or not isinstance(bs, int):
-            raise ConfigError("config.trainer.batch_size: expected an integer")
-        tr = TrainerConfig(
-            batch_size=bs,
-            lr=float(sub.get("lr", tr.lr)),
-            momentum=float(sub.get("momentum", tr.momentum)),
-            weight_decay=float(sub.get("weight_decay", tr.weight_decay)),
-            validation_fraction=float(sub.get("validation_fraction", tr.validation_fraction)),
-        )
-
-    steps = doc.get("total_steps", cfg.total_steps)
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise ConfigError("config.total_steps: expected an integer")
-    seed = doc.get("seed", cfg.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config.seed: expected an integer")
-    profile_batches = doc.get("profile_batches", cfg.profile_batches)
-    if isinstance(profile_batches, bool) or not isinstance(profile_batches, int):
-        raise ConfigError("config.profile_batches: expected an integer")
-    target = doc.get("cost_target_gbops", cfg.cost_target_gbops)
-    if target is not None and (isinstance(target, bool) or not isinstance(target, (int, float))):
-        raise ConfigError("config.cost_target_gbops: expected a number")
-    fmt = doc.get("format")
-    if fmt is not None and not isinstance(fmt, str):
-        raise ConfigError("config.format: expected a format name")
-    track = doc.get("track_switching", cfg.track_switching)
-    if not isinstance(track, bool):
-        raise ConfigError("config.track_switching: expected a boolean")
-
-    return SearchConfig(
-        model=model,
-        data=doc.get("data", cfg.data),
-        search_space=space,
-        total_steps=steps,
-        warmup_fraction=float(doc.get("warmup_fraction", cfg.warmup_fraction)),
-        act_quant_start_fraction=float(
-            doc.get("act_quant_start_fraction", cfg.act_quant_start_fraction)
-        ),
-        cost_target_gbops=None if target is None else float(target),
-        cost_gamma=float(doc.get("cost_gamma", cfg.cost_gamma)),
-        controller=ctrl,
-        trainer=tr,
-        profile_batches=profile_batches,
-        std_multiples=_std_multiples_from(doc),
-        seed=seed,
-        track_switching=track,
-        format=fmt,
-    )
-
-
-def search_config_to_dict(cfg: SearchConfig) -> dict:
-    """Round-trippable JSON form of a config, for resolved_config.json."""
-    return {
-        "model": cfg.model,
-        "data": cfg.data,
-        "search_space": list(cfg.search_space) if isinstance(cfg.search_space, (list, tuple))
-        else cfg.search_space,
-        "total_steps": cfg.total_steps,
-        "warmup_fraction": cfg.warmup_fraction,
-        "act_quant_start_fraction": cfg.act_quant_start_fraction,
-        "cost_target_gbops": cfg.cost_target_gbops,
-        "cost_gamma": cfg.cost_gamma,
-        "controller": {
-            "lr": cfg.controller.lr,
-            "beta1": cfg.controller.beta1,
-            "beta2": cfg.controller.beta2,
-            "eps": cfg.controller.eps,
-            "entropy_beta_end": cfg.controller.entropy_beta_end,
-            "entropy_schedule": cfg.controller.entropy_schedule,
-            "reward_ema_decay": cfg.controller.reward_ema_decay,
-        },
-        "trainer": {
-            "batch_size": cfg.trainer.batch_size,
-            "lr": cfg.trainer.lr,
-            "momentum": cfg.trainer.momentum,
-            "weight_decay": cfg.trainer.weight_decay,
-            "validation_fraction": cfg.trainer.validation_fraction,
-        },
-        "profile_batches": cfg.profile_batches,
-        "std_multiples": [[mb, m] for mb, m in cfg.std_multiples],
-        "seed": cfg.seed,
-        "track_switching": cfg.track_switching,
-        "format": cfg.format,
-    }

@@ -120,6 +120,28 @@ class TestSearchCommand:
         assert code == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_missing_idx_file_exits_2(self, capsys, tmp_path):
+        doc = dict(RUN_CONFIG, data={"kind": "idx", "images": "/nonexist.idx",
+                                     "labels": "/nonexist-labels.idx"})
+        cfg = _write_config(tmp_path / "idx.json", doc)
+        code = main(["search", "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: data.images: cannot read /nonexist.idx: No such file or directory"]
+
+    def test_zero_width_option_exits_2(self, capsys, tmp_path):
+        model = {"name": "tiny", "input_shape": [1, 1, 12], "classes": 4, "layers": [
+            {"type": "flatten"},
+            {"type": "dense", "name": "fc1", "out_features": 8, "width_options": [0]},
+            {"type": "relu"},
+            {"type": "dense", "name": "out", "out_features": 4}]}
+        cfg = _write_config(tmp_path / "w0.json", dict(RUN_CONFIG, model=model))
+        code = main(["search", "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "width multiplier" in err
+
     def test_bad_set_syntax_exits_2(self, search_run, capsys, tmp_path):
         _, cfg, _ = search_run
         code = main(["search", "--config", cfg, "--out", str(tmp_path),
@@ -244,6 +266,42 @@ class TestSweepCommand:
         rows = (sweep_dir / "results.csv").read_text().strip().split("\n")[1:]
         assert all(r.split(",")[4] == "error" for r in rows)
 
+    def test_row_failing_before_its_loop_fails_only_that_row(self, capsys, tmp_path,
+                                                              monkeypatch):
+        from fliqs import cli
+        from fliqs.errors import ThresholdError
+
+        real = cli.run_uniform
+
+        def run_uniform(cfg):
+            if cfg.format == "INT4":
+                raise ThresholdError("zero-variance activations at layer 'fc1'")
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "run_uniform", run_uniform)
+        cfg = _write_config(tmp_path / "sweep.json", self._sweep_doc())
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "rows complete: 2 ok, 2 failed" in out
+        rows = (_run_dir_from(out) / "results.csv").read_text().strip().split("\n")[1:]
+        cells = [r.split(",") for r in rows]
+        assert [(c[2], c[4]) for c in cells] == [("INT4", "error"), ("INT4", "error"),
+                                                 ("INT8", "ok"), ("INT8", "ok")]
+        assert "zero-variance" in cells[0][8]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_idx_file_exits_2(self, capsys, tmp_path, jobs):
+        doc = self._sweep_doc(seeds=[0])
+        doc["base"]["data"] = {"kind": "idx", "images": str(tmp_path / "missing.idx"),
+                               "labels": str(tmp_path / "missing-labels.idx")}
+        cfg = _write_config(tmp_path / "sweep.json", doc)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: data.images: cannot read {tmp_path / 'missing.idx'}: "
+                       "No such file or directory"]
+
     def test_bad_kind_exits_2(self, capsys, tmp_path):
         cfg = _write_config(tmp_path / "sweep.json", self._sweep_doc(kind="grid"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -253,6 +311,14 @@ class TestSweepCommand:
                "targets": [1e-5], "formats": ["INT4"]}
         cfg = _write_config(tmp_path / "sweep.json", doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_pareto_target_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        doc = {"kind": "pareto", "base": dict(RUN_CONFIG, total_steps=30),
+               "targets": [10**400]}
+        cfg = _write_config(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: sweep config: a target is too large for a float"]
 
     def test_row_configs_validated_before_any_run(self, capsys, tmp_path):
         doc = self._sweep_doc()

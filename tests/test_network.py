@@ -19,6 +19,7 @@ from fliqs.network import (
     builtin_model_config,
     cross_entropy,
     forward,
+    load_weight_arrays,
     load_weights,
     network_manifest,
     phase_for_step,
@@ -471,6 +472,19 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="trailing"):
             load_weights(net, path)
+
+    @pytest.mark.parametrize("cut", [2, 10, 30, -8, -1])
+    def test_truncated_checkpoint(self, tmp_path, cut):
+        net = build_model("mlp-1x8", input_shape=(1, 1, 4))
+        path = tmp_path / "w.bin"
+        save_weights(net, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(DataError, match="truncated|magic"):
+            load_weight_arrays(path)
+
+    def test_missing_checkpoint(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_weight_arrays(tmp_path / "absent.bin")
 
     def test_serving_round_preserves_float32_values(self):
         net = build_model("mlp-1x8", input_shape=(1, 1, 4), seed=0)
