@@ -12,105 +12,96 @@ quality against a bit-operations cost model.  Submodules:
 - ``data``: IDX files, synthetic blobs, batch planning
 - ``search``: the one-shot search loop and serving helpers
 - ``analysis``: switching/clipping studies and correlation tools
+
+The top level re-exports what the CLI, the demos and README's examples use;
+everything else is imported from its submodule.
 """
 
-from .arch import ArchChoice, arch_for
-from .controller import (
-    AdamParams,
-    ControllerState,
-    LayerPolicy,
-    advantage_update,
-    beta_schedule,
-    make_controller,
-    model_entropy,
-    policy_entropy,
-    policy_gradient,
-    reinforce_step,
-    sample_architecture,
-    softmax,
-)
-from .costmodel import (
-    GBOPS,
-    LayerSpec,
-    ModelManifest,
-    RewardParams,
-    layer_cost,
-    load_manifest,
-    manifest_from_dict,
-    model_cost,
-    reward,
-    uniform_cost,
-)
-from .data import BatchPlan, Dataset, batches, load_idx, synth_blobs, validation_set, write_idx
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    DataError,
-    DomainError,
-    FitError,
-    FliqsError,
-    FormatSpecError,
-    ManifestError,
-    NumericalError,
-    SearchAbort,
-    ThresholdError,
-)
-from .formats import (
-    BF16,
-    SEARCH_SPACES,
-    NumericFormat,
-    float_format,
-    int_format,
-    max_representable,
-    parse_format,
-    representable_values,
-    resolve_format,
-    resolve_search_space,
-    total_bitwidth,
-)
-from .network import (
-    Network,
-    QuantPhase,
-    ThresholdTable,
-    accuracy,
-    backward,
-    build_model,
-    cross_entropy,
-    forward,
-    load_weights,
-    network_manifest,
-    profile_thresholds,
-    save_weights,
-)
-from .quantize import bf16_round, quant_error, quantize, switching_error
-from .search import (
-    ControllerConfig,
-    SearchConfig,
-    SearchResult,
-    TrainerConfig,
-    evaluate_accuracy,
-    load_served,
-    run_search,
-    run_static,
-    run_uniform,
-    search_config_from_dict,
-    search_config_to_dict,
-    serve_config,
-    served_accuracy_from_files,
-    write_trace_csv,
-)
 from .analysis import (
-    ExpFit,
     SynthSpec,
     clipping_sweep,
     entropy_switch_correlation,
     fit_exponential,
-    shared_threshold,
-    spearman,
     switching_sweep,
-    synth_tensor,
+)
+from .arch import ArchChoice, arch_for
+from .controller import (
+    advantage_update,
+    beta_schedule,
+    make_controller,
+    model_entropy,
+    reinforce_step,
+    sample_architecture,
+)
+from .costmodel import GBOPS, layer_cost, load_manifest, model_cost, uniform_cost
+from .data import BatchPlan, batch_stream, load_idx, validation_set, write_idx
+from .errors import (
+    ConfigError,
+    FitError,
+    FliqsError,
+    FormatSpecError,
+    ManifestError,
+    SearchAbort,
+)
+from .formats import float_format, int_format, max_representable, representable_values, \
+    resolve_format
+from .network import (
+    QuantPhase,
+    SGDState,
+    accuracy,
+    backward,
+    build_model,
+    builtin_model_config,
+    cross_entropy,
+    forward,
+    profile_thresholds,
+    save_weights,
+    sgd_step,
+)
+from .quantize import bf16_round, quant_error, quantize
+from .search import (
+    ControllerConfig,
+    SearchConfig,
+    TrainerConfig,
+    build_dataset,
+    run_search,
+    run_uniform,
+    search_config_from_dict,
+    search_config_to_dict,
+    serve_config,
+    served_doc_from_dict,
+    write_trace_csv,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # analysis
+    "SynthSpec", "clipping_sweep", "entropy_switch_correlation", "fit_exponential",
+    "switching_sweep",
+    # arch
+    "ArchChoice", "arch_for",
+    # controller
+    "advantage_update", "beta_schedule", "make_controller", "model_entropy",
+    "reinforce_step", "sample_architecture",
+    # costmodel
+    "GBOPS", "layer_cost", "load_manifest", "model_cost", "uniform_cost",
+    # data
+    "BatchPlan", "batch_stream", "load_idx", "validation_set", "write_idx",
+    # errors
+    "ConfigError", "FitError", "FliqsError", "FormatSpecError", "ManifestError",
+    "SearchAbort",
+    # formats
+    "float_format", "int_format", "max_representable", "representable_values",
+    "resolve_format",
+    # network
+    "QuantPhase", "SGDState", "accuracy", "backward", "build_model",
+    "builtin_model_config", "cross_entropy", "forward", "profile_thresholds",
+    "save_weights", "sgd_step",
+    # quantize
+    "bf16_round", "quant_error", "quantize",
+    # search
+    "ControllerConfig", "SearchConfig", "TrainerConfig", "build_dataset", "run_search",
+    "run_uniform", "search_config_from_dict", "search_config_to_dict", "serve_config",
+    "served_doc_from_dict", "write_trace_csv",
+]

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,8 +28,8 @@ from .errors import ConfigError, FitError, FliqsError, FormatSpecError, \
     ManifestError, SearchAbort
 from .formats import resolve_format
 from .network import save_weights
-from .search import run_search, run_uniform, search_config_from_dict, \
-    search_config_to_dict, serve_config, write_trace_csv
+from .search import _convert, _require, run_search, run_uniform, search_config_from_dict, \
+    search_config_to_dict, serve_config, served_doc_from_dict, write_trace_csv
 
 
 def _load_json(path) -> dict:
@@ -276,51 +277,90 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-_ANALYZE_COMMON = {"kind", "distribution", "tensor_size", "outlier_rate",
-                   "outlier_scale", "seed"}
-_SWITCHING_KEYS = _ANALYZE_COMMON | {"k1", "k2", "trials", "percentile", "fit"}
-_CLIPPING_KEYS = _ANALYZE_COMMON | {"formats", "trials", "grid"}
-_ENTROPY_KEYS = {"kind", "run_dir", "min_steps"}
+# The analyze configs, checked by the run config's converter: each field's
+# type hint and default below, and its range in __post_init__.
 
 
-def _synth_spec_from(doc: dict) -> SynthSpec:
-    spec = SynthSpec(
-        distribution=doc.get("distribution", "gaussian"),
-        tensor_size=doc.get("tensor_size", 4096),
-        outlier_rate=float(doc.get("outlier_rate", 0.0)),
-        outlier_scale=float(doc.get("outlier_scale", 3.0)),
-    )
-    if spec.distribution not in ("gaussian", "laplacian"):
-        raise ConfigError(f"analyze config: unknown distribution {spec.distribution!r}")
-    if isinstance(spec.tensor_size, bool) or not isinstance(spec.tensor_size, int) \
-            or spec.tensor_size < 1:
-        raise ConfigError("analyze config: tensor_size must be a positive integer")
-    return spec
+@dataclass
+class SynthStudy:
+    """Keys of the analyses that draw synthetic tensors."""
+
+    kind: str
+    distribution: str = "gaussian"
+    tensor_size: int = 4096
+    outlier_rate: float = 0.0
+    outlier_scale: float = 3.0
+    seed: int = 0
+
+    def __post_init__(self):
+        _require(self.distribution in ("gaussian", "laplacian"), "distribution",
+                 "'gaussian' or 'laplacian'", self.distribution)
+        _require(self.tensor_size >= 1, "tensor_size", "positive", self.tensor_size)
+        _require(0.0 <= self.outlier_rate < 1.0, "outlier_rate", "in [0, 1)",
+                 self.outlier_rate)
+        _require(self.seed >= 0, "seed", ">= 0", self.seed)
+
+    def spec(self) -> SynthSpec:
+        return SynthSpec(self.distribution, self.tensor_size, self.outlier_rate,
+                         self.outlier_scale)
 
 
-def _analyze_switching(doc: dict, out_dir: Path) -> dict:
-    unknown = sorted(set(doc) - _SWITCHING_KEYS)
-    if unknown:
-        raise ConfigError(f"analyze config: unknown key {unknown[0]!r}")
-    k1 = doc.get("k1", [4, 5, 6, 7, 8])
-    if not isinstance(k1, list) or not k1 or \
-            any(isinstance(k, bool) or not isinstance(k, int) for k in k1):
-        raise ConfigError("analyze config: 'k1' must be a list of integer bitwidths")
-    k2 = doc.get("k2", 8)
-    spec = _synth_spec_from(doc)
-    sweep = switching_sweep(
-        k1, k2, spec,
-        trials=doc.get("trials", 200),
-        seed=doc.get("seed", 0),
-        percentile=float(doc.get("percentile", 99.9)),
-    )
+@dataclass
+class SwitchingStudy(SynthStudy):
+    k1: list[int] = field(default_factory=lambda: [4, 5, 6, 7, 8])
+    k2: int = 8
+    trials: int = 200
+    percentile: float = 99.9
+    fit: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(len(self.k1) > 0, "k1", "a non-empty list", self.k1)
+        _require(self.trials >= 1, "trials", "positive", self.trials)
+        _require(0.0 < self.percentile <= 100.0, "percentile", "in (0, 100]", self.percentile)
+
+
+@dataclass
+class PercentileGrid:
+    start: float
+    stop: float
+    count: int
+
+    def __post_init__(self):
+        _require(0.0 < self.start <= 100.0, "start", "in (0, 100]", self.start)
+        _require(0.0 < self.stop <= 100.0, "stop", "in (0, 100]", self.stop)
+        _require(self.count >= 1, "count", "positive", self.count)
+
+
+@dataclass
+class ClippingStudy(SynthStudy):
+    formats: list[str] = field(default_factory=lambda: ["INT4", "INT8"])
+    trials: int = 100
+    grid: PercentileGrid | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(len(self.formats) > 0, "formats", "a non-empty list", self.formats)
+        _require(self.trials >= 1, "trials", "positive", self.trials)
+
+
+@dataclass
+class EntropyStudy:
+    kind: str
+    run_dir: str
+    min_steps: int = 100
+
+
+def _analyze_switching(study: SwitchingStudy, out_dir: Path) -> dict:
+    sweep = switching_sweep(study.k1, study.k2, study.spec(), trials=study.trials,
+                            seed=study.seed, percentile=study.percentile)
     with open(out_dir / "switching.csv", "w", newline="") as fh:
         fh.write("k1,mean_rms,stderr\n")
         for k, m, s in zip(sweep["k1"], sweep["mean_rms"], sweep["stderr"]):
             fh.write(f"{k},{m!r},{s!r}\n")
     summary = {"kind": "switching", "k1": [int(k) for k in sweep["k1"]],
                "mean_rms": [float(v) for v in sweep["mean_rms"]]}
-    if doc.get("fit", True):
+    if study.fit:
         try:
             fit = fit_exponential([float(k) for k in sweep["k1"]],
                                   [float(v) for v in sweep["mean_rms"]])
@@ -337,25 +377,14 @@ def _analyze_switching(doc: dict, out_dir: Path) -> dict:
     return summary
 
 
-def _analyze_clipping(doc: dict, out_dir: Path) -> dict:
-    unknown = sorted(set(doc) - _CLIPPING_KEYS)
-    if unknown:
-        raise ConfigError(f"analyze config: unknown key {unknown[0]!r}")
-    names = doc.get("formats", ["INT4", "INT8"])
-    if not isinstance(names, list) or not names:
-        raise ConfigError("analyze config: 'formats' must be a non-empty list")
-    fmts = [resolve_format(n) for n in names]
-    spec = _synth_spec_from(doc)
-    grid = doc.get("grid")
+def _analyze_clipping(study: ClippingStudy, out_dir: Path) -> dict:
+    fmts = [resolve_format(n) for n in study.formats]
     percentiles = None
-    if grid is not None:
-        if not isinstance(grid, dict) or set(grid) != {"start", "stop", "count"}:
-            raise ConfigError("analyze config: 'grid' needs start, stop, count")
-        percentiles = np.linspace(float(grid["start"]), float(grid["stop"]),
-                                  int(grid["count"]))
+    if study.grid is not None:
+        percentiles = np.linspace(study.grid.start, study.grid.stop, study.grid.count)
     sweeps = [
-        clipping_sweep(fmt, spec, trials=doc.get("trials", 100),
-                       percentiles=percentiles, seed=doc.get("seed", 0))
+        clipping_sweep(fmt, study.spec(), trials=study.trials,
+                       percentiles=percentiles, seed=study.seed)
         for fmt in fmts
     ]
     with open(out_dir / "clipping.csv", "w", newline="") as fh:
@@ -368,14 +397,8 @@ def _analyze_clipping(doc: dict, out_dir: Path) -> dict:
     return {"kind": "clipping", "optimal_percentile": optimal}
 
 
-def _analyze_entropy(doc: dict, out_dir: Path) -> dict:
-    unknown = sorted(set(doc) - _ENTROPY_KEYS)
-    if unknown:
-        raise ConfigError(f"analyze config: unknown key {unknown[0]!r}")
-    run_dir = doc.get("run_dir")
-    if not run_dir:
-        raise ConfigError("analyze config: entropy analyses need 'run_dir'")
-    run = Path(run_dir)
+def _analyze_entropy(study: EntropyStudy, out_dir: Path) -> dict:
+    run = Path(study.run_dir)
     trace_path = run / "trace.csv"
     if not trace_path.exists():
         raise ConfigError(f"{trace_path}: no trace found")
@@ -396,28 +419,32 @@ def _analyze_entropy(doc: dict, out_dir: Path) -> dict:
                 continue
             entropy.append(float(rec["entropy"]))
             switch.append(float(rec["switch_rms"]))
-    rho = entropy_switch_correlation(entropy, switch,
-                                     min_steps=doc.get("min_steps", 100))
+    rho = entropy_switch_correlation(entropy, switch, min_steps=study.min_steps)
     summary = {"kind": "entropy", "spearman": rho, "steps": len(entropy),
                "warmup_steps": warmup_steps, "run_dir": str(run)}
     _write_json(out_dir / "entropy.json", summary)
     return summary
 
 
+_STUDIES = {"switching": (SwitchingStudy, _analyze_switching),
+            "clipping": (ClippingStudy, _analyze_clipping),
+            "entropy": (EntropyStudy, _analyze_entropy)}
+
+
 def cmd_analyze(args) -> int:
     doc = _load_json(args.config)
     _apply_overrides(doc, args.set)
     kind = doc.get("kind")
-    handlers = {"switching": _analyze_switching, "clipping": _analyze_clipping,
-                "entropy": _analyze_entropy}
-    if kind not in handlers:
+    if not isinstance(kind, str) or kind not in _STUDIES:
         raise ConfigError(
-            f"analyze config: kind must be one of {sorted(handlers)}, got {kind!r}"
+            f"analyze config: kind must be one of {sorted(_STUDIES)}, got {kind!r}"
         )
-    out_dir = _make_run_dir(_output_root(args), "analyze", doc.get("seed", 0))
+    schema, handler = _STUDIES[kind]
+    study = _convert(doc, schema, "analyze config")
+    out_dir = _make_run_dir(_output_root(args), "analyze", getattr(study, "seed", 0))
     _write_json(out_dir / "resolved_config.json", dict(doc, command="analyze"))
     print(f"run dir: {out_dir}")
-    summary = handlers[kind](doc, out_dir)
+    summary = handler(study, out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -484,34 +511,31 @@ def cmd_serve_info(args) -> int:
     if not doc_path.exists():
         raise ConfigError(f"{doc_path}: no serving config found")
     doc = _load_json(doc_path)
-    for key in ("model", "layers", "weights_file"):
-        if key not in doc:
-            raise ConfigError(f"{doc_path}: missing key {key!r}")
+    served = served_doc_from_dict(doc)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    model = doc["model"]
+    model = served.model
     model_name = model.get("builtin", "inline") if isinstance(model, dict) else model
     print(f"model: {model_name}")
-    print(f"seed: {doc.get('seed')}")
-    if doc.get("validation_accuracy") is not None:
-        print(f"validation accuracy: {doc['validation_accuracy']:.4f}")
-    if doc.get("cost_gbops") is not None:
-        print(f"cost: {doc['cost_gbops']:.6f} GBOPs")
-    print(f"weights file: {doc['weights_file']}")
-    for entry in doc["layers"]:
-        parts = [entry["format"]]
-        if entry.get("width_mult", 1.0) != 1.0:
-            parts.append(f"w{entry['width_mult']:g}")
-        if entry.get("kernel") is not None:
-            parts.append(f"k{entry['kernel']}")
+    print(f"seed: {served.seed}")
+    if served.validation_accuracy is not None:
+        print(f"validation accuracy: {served.validation_accuracy:.4f}")
+    if served.cost_gbops is not None:
+        print(f"cost: {served.cost_gbops:.6f} GBOPs")
+    print(f"weights file: {served.weights_file}")
+    for entry in served.layers:
+        parts = [entry.format]
+        if entry.width_mult != 1.0:
+            parts.append(f"w{entry.width_mult:g}")
+        if entry.kernel is not None:
+            parts.append(f"k{entry.kernel}")
         thr = ""
-        if entry.get("weight_threshold") is not None:
-            thr = (f"  w_thr={entry['weight_threshold']:.6g}"
-                   f"  a_thr={entry['act_threshold']:.6g}"
-                   if entry.get("act_threshold") is not None
-                   else f"  w_thr={entry['weight_threshold']:.6g}")
-        print(f"  {entry['name']}: {';'.join(parts)}{thr}")
+        if entry.weight_threshold is not None:
+            thr = f"  w_thr={entry.weight_threshold:.6g}"
+            if entry.act_threshold is not None:
+                thr += f"  a_thr={entry.act_threshold:.6g}"
+        print(f"  {entry.name}: {';'.join(parts)}{thr}")
     return 0
 
 

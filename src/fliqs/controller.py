@@ -229,14 +229,3 @@ def reinforce_step(state: ControllerState, indices, advantage: float,
         m_hat = state._m[i] / (1.0 - a.beta1**t)
         v_hat = state._v[i] / (1.0 - a.beta2**t)
         policy.logits += a.lr * m_hat / (np.sqrt(v_hat) + a.eps)
-
-
-def objective(policies: list[LayerPolicy], indices, advantage: float,
-              beta: float) -> float:
-    """The scalar the controller ascends; used by gradient checks."""
-    total = 0.0
-    for policy, idx in zip(policies, indices):
-        p = policy.probs()
-        total += advantage * math.log(p[idx])
-        total -= beta * policy_entropy(p)
-    return float(total)

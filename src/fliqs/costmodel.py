@@ -227,7 +227,3 @@ def load_manifest(source) -> ModelManifest:
     except json.JSONDecodeError as e:
         raise ManifestError(f"manifest {key!r}: invalid JSON: {e}") from None
     return manifest_from_dict(doc)
-
-
-def bundled_manifest_names() -> list[str]:
-    return sorted(_BUNDLED)

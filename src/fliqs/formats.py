@@ -155,38 +155,6 @@ def _float_magnitudes(fmt: NumericFormat) -> np.ndarray:
     return np.asarray(sorted(set(out)), dtype=np.float64)
 
 
-def float_mantissa_parity(fmt: NumericFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Representable values of a minifloat plus each value's mantissa parity.
-
-    Used by brute-force nearest-value oracles to break exact ties toward the
-    even mantissa encoding. Returns (values ascending, parity 0/1 array).
-    """
-    if fmt.kind != "float":
-        raise FormatSpecError("mantissa parity is only defined for minifloats")
-    if total_bitwidth(fmt) > ENUMERATION_BIT_LIMIT:
-        raise FormatSpecError(f"{fmt.name} is too wide to enumerate")
-    e, m = fmt.exp_bits, fmt.mantissa_bits
-    bias = 2 ** (e - 1)
-    seen = {}
-    for code in range(2**e):
-        for frac in range(2**m):
-            if code == 0:
-                v = frac / 2**m * 2.0 ** (1 - bias)
-            else:
-                v = (1 + frac / 2**m) * 2.0 ** (code - bias)
-            seen.setdefault(v, frac % 2)
-    mags = sorted(seen)
-    values = []
-    parity = []
-    for v in reversed(mags):
-        if v != 0.0:
-            values.append(-v)
-            parity.append(seen[v])
-    for v in mags:
-        values.append(v)
-        parity.append(seen[v])
-    return np.asarray(values, dtype=np.float64), np.asarray(parity, dtype=np.int64)
-
 
 def resolve_format(fmt) -> NumericFormat:
     """Accept a NumericFormat or a name string and return a NumericFormat."""

@@ -6,8 +6,18 @@ and their output activations; activations are fake-quantized at the ReLU
 following the layer.  Backprop uses the clipped straight-through estimator:
 quantizers pass gradients unchanged inside [-sigma_t, sigma_t] and block them
 outside (bool masks).  Width search zeroes the top fraction of output
-channels with a mask; kernel search keeps one weight tensor per candidate
-kernel size and can average the branch outputs early in training.
+channels with a mask; kernel search keeps one weight tensor `W{k}` per
+candidate kernel size and can average the branch outputs early in training.
+
+The layer contract: `layer.forward(x, ...)` returns `(y, cache)`, where the
+cache is a tuple or NamedTuple of what that layer's `backward(dy, cache)`
+needs, and backward returns `(dx, grads)`.  `forward()` decides each step's
+quantizers: every compute layer gets its ArchChoice and its weight
+`Quantizer` (format and threshold; None while weights stay float), and every
+ReLU its owner layer's activation quantizer.  No layer reads another's
+state.  A ThresholdTable keeps one weight threshold per layer (its max |w|,
+refreshed every step) and one activation threshold per (layer, format),
+profiled once before training.
 
 Convolutions run on BLAS: im2col is one copy of a strided view, the conv
 forward one `tensordot`, its backward a `tensordot` and a batched `matmul`,
@@ -28,7 +38,8 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,35 +87,52 @@ def phase_for_step(step: int, act_quant_start_step: int,
 
 
 class ThresholdTable:
-    """Per (layer, format) clipping thresholds for weights and activations."""
+    """Clipping thresholds: one weight threshold per layer, activation ones per format.
+
+    A layer's weight threshold is its max |w| whatever the format.  A (layer,
+    format) pair is profiled once its activation entry is set (None when no
+    ReLU follows the layer); asking for either threshold of an unprofiled
+    pair raises ThresholdError.  BF16 never clips and has neither.
+    """
 
     def __init__(self):
-        self._entries: dict[tuple[str, str], dict[str, float | None]] = {}
+        self._weight: dict[str, float] = {}
+        self._act: dict[tuple[str, str], float | None] = {}
 
-    def set(self, layer: str, fmt_name: str, weight: float, act: float | None):
-        self._entries[(layer, fmt_name)] = {"weight": float(weight), "act": act}
+    def set_weight(self, layer: str, value: float) -> None:
+        self._weight[layer] = float(value)
+
+    def set_act(self, layer: str, fmt_name: str, value: float | None) -> None:
+        self._act[(layer, fmt_name)] = value
+
+    def _clips(self, layer: str, fmt: NumericFormat) -> bool:
+        if fmt.kind == "bf16":
+            return False
+        if (layer, fmt.name) not in self._act or layer not in self._weight:
+            raise ThresholdError(f"no threshold profiled for layer {layer!r} format {fmt.name}")
+        return True
 
     def weight_threshold(self, layer: str, fmt: NumericFormat) -> float | None:
-        if fmt.kind == "bf16":
-            return None
-        entry = self._entries.get((layer, fmt.name))
-        if entry is None:
-            raise ThresholdError(f"no threshold profiled for layer {layer!r} format {fmt.name}")
-        return entry["weight"]
+        return self._weight[layer] if self._clips(layer, fmt) else None
 
     def act_threshold(self, layer: str, fmt: NumericFormat) -> float | None:
-        if fmt.kind == "bf16":
-            return None
-        entry = self._entries.get((layer, fmt.name))
-        if entry is None:
-            raise ThresholdError(f"no threshold profiled for layer {layer!r} format {fmt.name}")
-        return entry["act"]
+        return self._act[(layer, fmt.name)] if self._clips(layer, fmt) else None
 
-    def entries(self) -> dict:
-        return dict(self._entries)
 
-    def load_entries(self, entries: dict):
-        self._entries.update(entries)
+class Quantizer(NamedTuple):
+    """One live fake quantizer; BF16 rounds without clipping, so its threshold is None."""
+
+    fmt: NumericFormat
+    threshold: float | None
+
+
+def fake_quant(x: np.ndarray, quant: Quantizer | None):
+    """(forward view, STE mask) of x; the mask is None where gradients pass freely."""
+    if quant is None:
+        return x, None
+    if quant.threshold is None:
+        return quantize(x, quant.fmt), None
+    return quantize(x, quant.fmt, quant.threshold), np.abs(x) <= quant.threshold
 
 
 def _mask_for(width_mult: float, channels: int) -> np.ndarray:
@@ -120,16 +148,13 @@ def _he_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base layer. Subclasses fill in forward/backward."""
+    """Base layer: forward(x, ...) returns (y, cache); backward(dy, cache) returns (dx, grads)."""
 
     kind = "base"
+    is_compute = False
 
     def __init__(self, name: str):
         self.name = name
-
-    @property
-    def is_compute(self) -> bool:
-        return False
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
@@ -139,7 +164,16 @@ class Layer:
 
 
 class ComputeLayer(Layer):
-    """Shared behavior for layers with weights: quant views, masks, MACs."""
+    """A layer with weights: forward(x, arch, quant, joint_branches).
+
+    `quant` is the weight quantizer (None when weights stay float) and
+    `joint_branches` asks a kernel-search layer to average all its branches.
+    """
+
+    is_compute = True
+    out_channels: int
+    base_kernel: int | None = None      # conv layers set both
+    kernel_sizes: tuple[int, ...] = ()
 
     def __init__(self, name, searchable=True, fixed_format="BF16",
                  width_options=None, kernel_options=None):
@@ -148,16 +182,7 @@ class ComputeLayer(Layer):
         self.fixed_format = resolve_format(fixed_format)
         self.width_options = list(width_options) if width_options else []
         self.kernel_options = list(kernel_options) if kernel_options else []
-        self.out_spatial: tuple[int, int] | None = None
         self.base_macs: int = 0
-
-    @property
-    def is_compute(self) -> bool:
-        return True
-
-    @property
-    def out_channels(self) -> int:
-        raise NotImplementedError
 
     def weight_arrays(self) -> list[np.ndarray]:
         raise NotImplementedError
@@ -165,14 +190,18 @@ class ComputeLayer(Layer):
     def max_abs_weight(self) -> float:
         return max(float(np.max(np.abs(w))) for w in self.weight_arrays())
 
-    def quant_weight(self, w: np.ndarray, fmt: NumericFormat, threshold,
-                     active: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """(forward view, STE mask). Mask is None when gradients pass freely."""
-        if not active:
-            return w, None
-        if fmt.kind == "bf16":
-            return quantize(w, fmt), None
-        return quantize(w, fmt, threshold), np.abs(w) <= threshold
+    def width_mask(self, arch: ArchChoice) -> np.ndarray | None:
+        """Output-channel mask for the arch's width multiplier; None at full width."""
+        if arch.width_mult == 1.0:
+            return None
+        return _mask_for(arch.width_mult, self.out_channels)
+
+
+class DenseCache(NamedTuple):
+    x: np.ndarray
+    wq: np.ndarray              # the weight view the forward multiplied by
+    ste: np.ndarray | None
+    mask: np.ndarray | None
 
 
 class Dense(ComputeLayer):
@@ -183,14 +212,10 @@ class Dense(ComputeLayer):
         if self.kernel_options:
             raise ConfigError(f"layer {name!r}: dense layers cannot search kernels")
         self.in_features = int(in_features)
-        self.out_features = int(out_features)
+        self.out_features = self.out_channels = int(out_features)
         self.W = np.zeros((self.out_features, self.in_features))
         self.b = np.zeros(self.out_features)
         self.base_macs = self.in_features * self.out_features
-
-    @property
-    def out_channels(self) -> int:
-        return self.out_features
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -202,26 +227,22 @@ class Dense(ComputeLayer):
         self.W = _he_init(rng, self.W.shape, self.in_features)
         self.b = np.zeros(self.out_features)
 
-    def forward(self, x, ctx):
-        arch: ArchChoice = ctx["arch"]
-        wq, ste = self.quant_weight(self.W, arch.fmt, ctx["w_threshold"], ctx["weight_quant"])
+    def forward(self, x, arch: ArchChoice, quant: Quantizer | None = None,
+                joint_branches: bool = False):
+        wq, ste = fake_quant(self.W, quant)
         y = x @ wq.T + self.b
-        mask = None
-        if arch.width_mult != 1.0:
-            mask = _mask_for(arch.width_mult, self.out_features)
+        mask = self.width_mask(arch)
+        if mask is not None:
             y = y * mask
-        ctx.update(x=x, wq=wq, ste=ste, mask=mask)
-        return y
+        return y, DenseCache(x, wq, ste, mask)
 
-    def backward(self, dy, ctx):
-        if ctx["mask"] is not None:
-            dy = dy * ctx["mask"]
-        dW = dy.T @ ctx["x"]
-        if ctx["ste"] is not None:
-            dW = dW * ctx["ste"]
-        db = dy.sum(axis=0)
-        dx = dy @ ctx["wq"]
-        return dx, {"W": dW, "b": db}
+    def backward(self, dy, cache: DenseCache):
+        if cache.mask is not None:
+            dy = dy * cache.mask
+        dW = dy.T @ cache.x
+        if cache.ste is not None:
+            dW = dW * cache.ste
+        return dy @ cache.wq, {"W": dW, "b": dy.sum(axis=0)}
 
 
 def _im2col(x, k):
@@ -243,176 +264,147 @@ def _col2im(tap, shape, k):
     return dx[:, :, p : p + h, p : p + w]
 
 
-class Conv2D(ComputeLayer):
-    """Same-padded stride-1 convolution, optionally with kernel branches."""
+class BranchCache(NamedTuple):
+    x_shape: tuple
+    branches: dict              # kernel size -> (weight view, STE mask, patches)
+    mask: np.ndarray | None
 
+
+class BranchedConv(ComputeLayer):
+    """Same-padded stride-1 convolution with one weight tensor `W{k}` per kernel size.
+
+    Holds what both conv kinds share: the kernel-size checks, the per-size
+    weights and bias, branch selection, the joint average of the branch
+    outputs and each branch's share of the gradient.  A subclass gives the
+    weight shape, the fan-in, and one branch's forward and backward math.
+    """
+
+    def __init__(self, name, kernel, **kwargs):
+        super().__init__(name, **kwargs)
+        self.base_kernel = int(kernel)
+        sizes = sorted(set(self.kernel_options) | {self.base_kernel})
+        for k in sizes:
+            if k % 2 == 0 or k < 1:
+                raise ConfigError(f"layer {name!r}: kernel sizes must be odd, got {k}")
+        self.kernel_sizes = sizes
+        self.weights = {k: np.zeros(self._weight_shape(k)) for k in sizes}
+        self.b = np.zeros(self.out_channels)
+
+    def params(self):
+        return {**{f"W{k}": w for k, w in self.weights.items()}, "b": self.b}
+
+    def weight_arrays(self):
+        return list(self.weights.values())
+
+    def init(self, rng):
+        for k in self.kernel_sizes:
+            self.weights[k] = _he_init(rng, self.weights[k].shape, self._fan_in(k))
+        self.b = np.zeros(self.out_channels)
+
+    def forward(self, x, arch: ArchChoice, quant: Quantizer | None = None,
+                joint_branches: bool = False):
+        if joint_branches and len(self.kernel_sizes) > 1:
+            branches = self.kernel_sizes
+        else:
+            branches = [arch.kernel if arch.kernel is not None else self.base_kernel]
+        outs = []
+        saved = {}
+        for k in branches:
+            if k not in self.weights:
+                raise ConfigError(f"layer {self.name!r}: no branch for kernel {k}")
+            wq, ste = fake_quant(self.weights[k], quant)
+            y, cols = self._branch_forward(x, k, wq)
+            outs.append(y + self.b[None, :, None, None])
+            saved[k] = (wq, ste, cols)
+        y = outs[0] if len(outs) == 1 else sum(outs) / len(outs)
+        mask = self.width_mask(arch)
+        if mask is not None:
+            y = y * mask[None, :, None, None]
+        return y, BranchCache(x.shape, saved, mask)
+
+    def backward(self, dy, cache: BranchCache):
+        if cache.mask is not None:
+            dy = dy * cache.mask[None, :, None, None]
+        share = 1.0 / len(cache.branches)
+        dx = np.zeros(cache.x_shape)
+        grads = {"b": dy.sum(axis=(0, 2, 3))}
+        for k, (wq, ste, cols) in cache.branches.items():
+            dW, dx_k = self._branch_backward(dy, wq, cols, cache.x_shape)
+            dW = dW * share
+            if ste is not None:
+                dW = dW * ste
+            grads[f"W{k}"] = dW
+            dx += dx_k * share
+        return dx, grads
+
+
+class Conv2D(BranchedConv):
     kind = "conv"
 
     def __init__(self, name, in_channels, out_channels, kernel=3, **kwargs):
-        super().__init__(name, **kwargs)
         self.in_channels = int(in_channels)
-        self._out_channels = int(out_channels)
-        self.base_kernel = int(kernel)
-        sizes = sorted(set(self.kernel_options or [self.base_kernel]))
-        if self.base_kernel not in sizes:
-            sizes = sorted(sizes + [self.base_kernel])
-        for k in sizes:
-            if k % 2 == 0 or k < 1:
-                raise ConfigError(f"layer {name!r}: kernel sizes must be odd, got {k}")
-        self.kernel_sizes = sizes
-        self.weights = {
-            k: np.zeros((self._out_channels, self.in_channels, k, k)) for k in sizes
-        }
-        self.b = np.zeros(self._out_channels)
+        self.out_channels = int(out_channels)
+        super().__init__(name, kernel, **kwargs)
 
-    @property
-    def out_channels(self) -> int:
-        return self._out_channels
+    def _weight_shape(self, k):
+        return (self.out_channels, self.in_channels, k, k)
 
-    def params(self):
-        out = {f"W{k}": w for k, w in self.weights.items()}
-        out["b"] = self.b
-        return out
+    def _fan_in(self, k):
+        return self.in_channels * k * k
 
-    def weight_arrays(self):
-        return list(self.weights.values())
-
-    def init(self, rng):
-        for k in self.kernel_sizes:
-            fan_in = self.in_channels * k * k
-            self.weights[k] = _he_init(rng, self.weights[k].shape, fan_in)
-        self.b = np.zeros(self._out_channels)
-
-    def _branch_forward(self, x, k, fmt, w_threshold, weight_quant):
-        wq, ste = self.quant_weight(self.weights[k], fmt, w_threshold, weight_quant)
+    def _branch_forward(self, x, k, wq):
         n, _, h, w = x.shape
-        cols = _im2col(x, k)
-        cols_mat = cols.reshape(n, self.in_channels * k * k, h * w)
-        w_mat = wq.reshape(self._out_channels, -1)
-        y = np.tensordot(cols_mat, w_mat, axes=([1], [1]))
-        y = y.transpose(0, 2, 1).reshape(n, self._out_channels, h, w)
-        return y + self.b[None, :, None, None], (wq, ste, cols_mat)
+        cols_mat = _im2col(x, k).reshape(n, self.in_channels * k * k, h * w)
+        y = np.tensordot(cols_mat, wq.reshape(self.out_channels, -1), axes=([1], [1]))
+        return y.transpose(0, 2, 1).reshape(n, self.out_channels, h, w), cols_mat
 
-    def forward(self, x, ctx):
-        arch: ArchChoice = ctx["arch"]
-        branches = self.kernel_sizes if ctx.get("joint_branches") else [
-            arch.kernel if arch.kernel is not None else self.base_kernel
-        ]
-        for k in branches:
-            if k not in self.weights:
-                raise ConfigError(f"layer {self.name!r}: no branch for kernel {k}")
-        outs = []
-        saved = {}
-        for k in branches:
-            y, info = self._branch_forward(
-                x, k, arch.fmt, ctx["w_threshold"], ctx["weight_quant"]
-            )
-            outs.append(y)
-            saved[k] = info
-        y = outs[0] if len(outs) == 1 else sum(outs) / len(outs)
-        mask = None
-        if arch.width_mult != 1.0:
-            mask = _mask_for(arch.width_mult, self._out_channels)
-            y = y * mask[None, :, None, None]
-        ctx.update(x_shape=x.shape, branches=branches, saved=saved, mask=mask)
-        return y
-
-    def backward(self, dy, ctx):
-        if ctx["mask"] is not None:
-            dy = dy * ctx["mask"][None, :, None, None]
-        n, _, h, w = ctx["x_shape"]
-        branches = ctx["branches"]
-        share = 1.0 / len(branches)
-        dy_mat = dy.reshape(n, self._out_channels, h * w)
-        dx = np.zeros(ctx["x_shape"])
-        grads = {"b": dy.sum(axis=(0, 2, 3))}
-        for k in branches:
-            wq, ste, cols_mat = ctx["saved"][k]
-            w_mat = wq.reshape(self._out_channels, -1)
-            dW = np.tensordot(dy_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(wq.shape) * share
-            if ste is not None:
-                dW = dW * ste
-            grads[f"W{k}"] = dW
-            dcols = np.matmul(w_mat.T, dy_mat).reshape(n, self.in_channels, k, k, h, w)
-            dx += _col2im(lambda i, j: dcols[:, :, i, j], dx.shape, k) * share
-        return dx, grads
+    def _branch_backward(self, dy, wq, cols_mat, x_shape):
+        n, c, h, w = x_shape
+        k = wq.shape[-1]
+        dy_mat = dy.reshape(n, self.out_channels, h * w)
+        dW = np.tensordot(dy_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(wq.shape)
+        w_mat = wq.reshape(self.out_channels, -1)
+        dcols = np.matmul(w_mat.T, dy_mat).reshape(n, c, k, k, h, w)
+        return dW, _col2im(lambda i, j: dcols[:, :, i, j], x_shape, k)
 
 
-class DepthwiseConv2D(ComputeLayer):
+class DepthwiseConv2D(BranchedConv):
     kind = "depthwise_conv"
 
     def __init__(self, name, channels, kernel=3, **kwargs):
-        super().__init__(name, **kwargs)
-        if kwargs.get("width_options"):
+        self.channels = self.out_channels = int(channels)
+        super().__init__(name, kernel, **kwargs)
+        if self.width_options:
             raise ConfigError(f"layer {name!r}: depthwise layers cannot search width")
-        self.channels = int(channels)
-        self.base_kernel = int(kernel)
-        sizes = sorted(set(self.kernel_options or [self.base_kernel]))
-        if self.base_kernel not in sizes:
-            sizes = sorted(sizes + [self.base_kernel])
-        for k in sizes:
-            if k % 2 == 0 or k < 1:
-                raise ConfigError(f"layer {name!r}: kernel sizes must be odd, got {k}")
-        self.kernel_sizes = sizes
-        self.weights = {k: np.zeros((self.channels, k, k)) for k in sizes}
-        self.b = np.zeros(self.channels)
 
-    @property
-    def out_channels(self) -> int:
-        return self.channels
+    def width_mask(self, arch):
+        return None  # a depthwise layer's width follows its input
 
-    def params(self):
-        out = {f"W{k}": w for k, w in self.weights.items()}
-        out["b"] = self.b
-        return out
+    def _weight_shape(self, k):
+        return (self.channels, k, k)
 
-    def weight_arrays(self):
-        return list(self.weights.values())
+    def _fan_in(self, k):
+        return k * k
 
-    def init(self, rng):
-        for k in self.kernel_sizes:
-            self.weights[k] = _he_init(rng, self.weights[k].shape, k * k)
-        self.b = np.zeros(self.channels)
-
-    def forward(self, x, ctx):
-        arch: ArchChoice = ctx["arch"]
-        branches = self.kernel_sizes if ctx.get("joint_branches") else [
-            arch.kernel if arch.kernel is not None else self.base_kernel
-        ]
-        outs = []
-        saved = {}
+    def _branch_forward(self, x, k, wq):
         n, c, h, w = x.shape
-        for k in branches:
-            if k not in self.weights:
-                raise ConfigError(f"layer {self.name!r}: no branch for kernel {k}")
-            wq, ste = self.quant_weight(
-                self.weights[k], arch.fmt, ctx["w_threshold"], ctx["weight_quant"]
-            )
-            cols = _im2col(x, k)
-            y = np.einsum("ncijl,cij->ncl", cols.reshape(n, c, k, k, h * w), wq)
-            outs.append(y.reshape(n, c, h, w) + self.b[None, :, None, None])
-            saved[k] = (wq, ste, cols)
-        y = outs[0] if len(outs) == 1 else sum(outs) / len(outs)
-        ctx.update(x_shape=x.shape, branches=branches, saved=saved, mask=None)
-        return y
+        cols = _im2col(x, k)
+        y = np.einsum("ncijl,cij->ncl", cols.reshape(n, c, k, k, h * w), wq)
+        return y.reshape(n, c, h, w), cols
 
-    def backward(self, dy, ctx):
-        n, c, h, w = ctx["x_shape"]
-        branches = ctx["branches"]
-        share = 1.0 / len(branches)
-        dx = np.zeros(ctx["x_shape"])
-        grads = {"b": dy.sum(axis=(0, 2, 3))}
-        dy_vec = dy.reshape(n, c, h * w, 1)
-        for k in branches:
-            wq, ste, cols = ctx["saved"][k]
-            dW = np.matmul(cols.reshape(n, c, k * k, h * w), dy_vec).sum(axis=0)
-            dW = dW.reshape(wq.shape) * share
-            if ste is not None:
-                dW = dW * ste
-            grads[f"W{k}"] = dW
-            # dcols is the outer product dy * w: form it one tap at a time
-            dx += _col2im(lambda i, j: dy * wq[None, :, i, j, None, None], dx.shape, k) * share
-        return dx, grads
+    def _branch_backward(self, dy, wq, cols, x_shape):
+        n, c, h, w = x_shape
+        k = wq.shape[-1]
+        dW = np.matmul(cols.reshape(n, c, k * k, h * w), dy.reshape(n, c, h * w, 1)).sum(axis=0)
+        # the input gradient is the outer product dy * w: add it one tap at a time
+        dx = _col2im(lambda i, j: dy * wq[None, :, i, j, None, None], x_shape, k)
+        return dW.reshape(wq.shape), dx
+
+
+class ReLUCache(NamedTuple):
+    pre_quant: np.ndarray       # the rectified values before fake quantization
+    relu_mask: np.ndarray
+    ste: np.ndarray | None
 
 
 class ReLU(Layer):
@@ -424,27 +416,21 @@ class ReLU(Layer):
         super().__init__(name)
         self.owner = owner
 
-    def forward(self, x, ctx):
-        y = np.maximum(x, 0.0)
-        ctx["pre_quant"] = y
-        ctx["relu_mask"] = x > 0.0
-        if ctx.get("act_quant") and ctx.get("arch") is not None:
-            arch: ArchChoice = ctx["arch"]
-            if arch.fmt.kind == "bf16":
-                y = quantize(y, arch.fmt)
-                ctx["ste"] = None
-            else:
-                t = ctx["a_threshold"]
-                y = quantize(y, arch.fmt, t)
-                ctx["ste"] = ctx["pre_quant"] <= t
-        else:
-            ctx["ste"] = None
-        return y
+    def forward(self, x, quant: Quantizer | None = None):
+        """quant is the owner's activation quantizer, None while activations stay float."""
+        y = pre = np.maximum(x, 0.0)
+        ste = None
+        if quant is not None and quant.threshold is None:
+            y = quantize(pre, quant.fmt)
+        elif quant is not None:
+            y = quantize(pre, quant.fmt, quant.threshold)
+            ste = pre <= quant.threshold  # pre >= 0: no abs needed
+        return y, ReLUCache(pre, x > 0.0, ste)
 
-    def backward(self, dy, ctx):
-        if ctx["ste"] is not None:
-            dy = dy * ctx["ste"]
-        return dy * ctx["relu_mask"], {}
+    def backward(self, dy, cache: ReLUCache):
+        if cache.ste is not None:
+            dy = dy * cache.ste
+        return dy * cache.relu_mask, {}
 
 
 class MaxPool2D(Layer):
@@ -454,13 +440,8 @@ class MaxPool2D(Layer):
         super().__init__(name)
         self.size = int(size)
 
-    def forward(self, x, ctx):
+    def forward(self, x):
         s = self.size
-        n, c, h, w = x.shape
-        if h % s or w % s:
-            raise ConfigError(
-                f"layer {self.name!r}: spatial dims {h}x{w} not divisible by pool size {s}"
-            )
         # offsets in row-major window order; strict > keeps the first max
         y = x[:, :, ::s, ::s]
         idx = np.zeros(y.shape, dtype=np.intp)
@@ -469,14 +450,14 @@ class MaxPool2D(Layer):
             better = cand > y
             y = np.where(better, cand, y)
             np.copyto(idx, o, where=better)
-        ctx.update(idx=idx, in_shape=x.shape)
-        return y
+        return y, (idx, x.shape)
 
-    def backward(self, dy, ctx):
+    def backward(self, dy, cache):
         s = self.size
-        dx = np.empty(ctx["in_shape"])
+        idx, in_shape = cache
+        dx = np.empty(in_shape)
         for o in range(s * s):
-            np.multiply(dy, ctx["idx"] == o, out=dx[:, :, o // s :: s, o % s :: s])
+            np.multiply(dy, idx == o, out=dx[:, :, o // s :: s, o % s :: s])
         return dx, {}
 
 
@@ -487,44 +468,35 @@ class AvgPool2D(Layer):
         super().__init__(name)
         self.size = int(size)
 
-    def forward(self, x, ctx):
+    def forward(self, x):
         s = self.size
         n, c, h, w = x.shape
-        if h % s or w % s:
-            raise ConfigError(
-                f"layer {self.name!r}: spatial dims {h}x{w} not divisible by pool size {s}"
-            )
-        ctx["in_shape"] = x.shape
-        return x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5))
+        return x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5)), None
 
-    def backward(self, dy, ctx):
+    def backward(self, dy, cache):
         s = self.size
-        n, c, h, w = ctx["in_shape"]
-        dx = np.repeat(np.repeat(dy, s, axis=2), s, axis=3) / (s * s)
-        return dx, {}
+        return np.repeat(np.repeat(dy, s, axis=2), s, axis=3) / (s * s), {}
 
 
 class GlobalAvgPool(Layer):
     kind = "gap"
 
-    def forward(self, x, ctx):
-        ctx["in_shape"] = x.shape
-        return x.mean(axis=(2, 3))
+    def forward(self, x):
+        return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, dy, ctx):
-        n, c, h, w = ctx["in_shape"]
+    def backward(self, dy, in_shape):
+        n, c, h, w = in_shape
         return dy[:, :, None, None] * np.ones((n, c, h, w)) / (h * w), {}
 
 
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x, ctx):
-        ctx["in_shape"] = x.shape
-        return x.reshape(x.shape[0], -1)
+    def forward(self, x):
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, ctx):
-        return dy.reshape(ctx["in_shape"]), {}
+    def backward(self, dy, in_shape):
+        return dy.reshape(in_shape), {}
 
 
 class Network:
@@ -655,22 +627,15 @@ def build_model(config, seed: int = 0, input_shape=None, classes=None) -> Networ
             for k in ("searchable", "fixed_format", "width_options", "kernel_options")
             if k in cfg
         }
-        if kind == "conv":
+        if kind in ("conv", "depthwise_conv"):
             if flat is not None:
                 raise ConfigError(f"layer {lname!r}: conv after flatten")
-            layer = Conv2D(lname, c, cfg["out_channels"], cfg.get("kernel", 3), **common)
-            layer.out_spatial = (h, w)
-            kb = layer.base_kernel
-            layer.base_macs = layer.out_channels * c * kb * kb * h * w
+            if kind == "conv":
+                layer = Conv2D(lname, c, cfg["out_channels"], cfg.get("kernel", 3), **common)
+            else:
+                layer = DepthwiseConv2D(lname, c, cfg.get("kernel", 3), **common)
+            layer.base_macs = layer.out_channels * layer._fan_in(layer.base_kernel) * h * w
             c = layer.out_channels
-            last_compute = layer
-        elif kind == "depthwise_conv":
-            if flat is not None:
-                raise ConfigError(f"layer {lname!r}: conv after flatten")
-            layer = DepthwiseConv2D(lname, c, cfg.get("kernel", 3), **common)
-            layer.out_spatial = (h, w)
-            kb = layer.base_kernel
-            layer.base_macs = c * kb * kb * h * w
             last_compute = layer
         elif kind == "dense":
             if flat is None:
@@ -728,14 +693,40 @@ def _arch_for_layer(layer: ComputeLayer, archs) -> ArchChoice:
     return archs[layer.name]
 
 
+# the neutral choice of a plain full-precision pass (profiling, stats)
+_FLOAT_ARCH = ArchChoice(resolve_format("BF16"))
+
+
+def _quantizer(thresholds: ThresholdTable | None, layer: str, fmt: NumericFormat,
+               what: str) -> Quantizer:
+    """The live quantizer of a layer's weights (what="weight") or activations."""
+    if fmt.kind == "bf16":
+        return Quantizer(fmt, None)
+    if thresholds is None:
+        raise DomainError(f"{what} quantization needs a threshold table")
+    if what == "weight":
+        return Quantizer(fmt, thresholds.weight_threshold(layer, fmt))
+    t = thresholds.act_threshold(layer, fmt)
+    if t is None:
+        raise ThresholdError(f"layer {layer!r} has no activation threshold")
+    return Quantizer(fmt, t)
+
+
+class ForwardCache(NamedTuple):
+    logits: np.ndarray
+    layers: list                # layers[i] is what net.layers[i].forward returned as its cache
+
+
 def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
             thresholds: ThresholdTable | None = None,
             joint_branches: bool = False):
-    """Run the network. Returns (logits, cache) for a later backward pass.
+    """Run the network. Returns (logits, ForwardCache) for a later backward pass.
 
     archs maps searchable layer names to ArchChoice; non-searchable compute
     layers use their pinned format.  With phase None (or both quantizers off)
-    this is a plain float forward and archs may be omitted entirely.
+    this is a plain float forward and archs may be omitted entirely.  Each
+    compute layer gets its weight quantizer and each ReLU its owner's
+    activation quantizer from here.
     """
     phase = phase or QuantPhase()
     quant_on = phase.weight_quant or phase.act_quant
@@ -743,47 +734,28 @@ def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
     if x.shape[1:] != tuple(net.input_shape):
         raise DomainError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
     caches = []
-    owner_ctx: dict[str, dict] = {}
+    chosen: dict[str, ArchChoice] = {}
     for i, layer in enumerate(net.layers):
-        ctx: dict = {"layer": layer.name}
+        quant = None
         if layer.is_compute:
-            if quant_on or archs:
-                arch = _arch_for_layer(layer, archs)
-            else:
-                # plain full-precision pass (profiling, stats): neutral choice
-                arch = ArchChoice(resolve_format("BF16"))
-            ctx["arch"] = arch
-            ctx["weight_quant"] = phase.weight_quant
-            ctx["joint_branches"] = joint_branches and len(getattr(layer, "kernel_sizes", [])) > 1
-            if phase.weight_quant and arch is not None and arch.fmt.kind != "bf16":
-                if thresholds is None:
-                    raise DomainError("weight quantization needs a threshold table")
-                ctx["w_threshold"] = thresholds.weight_threshold(layer.name, arch.fmt)
-            else:
-                ctx["w_threshold"] = None
-            owner_ctx[layer.name] = ctx
-        elif isinstance(layer, ReLU) and layer.owner is not None:
-            owner = owner_ctx.get(layer.owner)
-            arch = owner.get("arch") if owner else None
-            ctx["act_quant"] = phase.act_quant and arch is not None
-            ctx["arch"] = arch
-            if ctx["act_quant"] and arch.fmt.kind != "bf16":
-                if thresholds is None:
-                    raise DomainError("activation quantization needs a threshold table")
-                t = thresholds.act_threshold(layer.owner, arch.fmt)
-                if t is None:
-                    raise ThresholdError(
-                        f"layer {layer.owner!r} has no activation threshold"
-                    )
-                ctx["a_threshold"] = t
-        y = layer.forward(x, ctx)
+            arch = _arch_for_layer(layer, archs) if quant_on or archs else _FLOAT_ARCH
+            chosen[layer.name] = arch
+            if phase.weight_quant:
+                quant = _quantizer(thresholds, layer.name, arch.fmt, "weight")
+            y, cache = layer.forward(x, arch, quant, joint_branches)
+        elif isinstance(layer, ReLU):
+            if phase.act_quant and layer.owner is not None:
+                quant = _quantizer(thresholds, layer.owner, chosen[layer.owner].fmt, "activation")
+            y, cache = layer.forward(x, quant)
+        else:
+            y, cache = layer.forward(x)
         if not np.all(np.isfinite(y)):
             raise NumericalError(
                 f"layer {layer.name!r} (index {i}) produced non-finite activations"
             )
-        caches.append(ctx)
+        caches.append(cache)
         x = y
-    return x, {"layers": caches, "logits": x}
+    return x, ForwardCache(x, caches)
 
 
 def cross_entropy(logits, labels) -> float:
@@ -798,9 +770,9 @@ def accuracy(logits, labels) -> float:
     return float(np.mean(logits.argmax(axis=1) == labels))
 
 
-def backward(net: Network, cache, labels):
+def backward(net: Network, cache: ForwardCache, labels):
     """Backprop from softmax cross-entropy. Returns {layer: {param: grad}}."""
-    logits = cache["logits"]
+    logits = cache.logits
     n = len(labels)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -808,8 +780,8 @@ def backward(net: Network, cache, labels):
     p[np.arange(n), labels] -= 1.0
     dy = p / n
     grads: dict[str, dict[str, np.ndarray]] = {}
-    for layer, ctx in zip(reversed(net.layers), reversed(cache["layers"])):
-        dy, g = layer.backward(dy, ctx)
+    for layer, layer_cache in zip(reversed(net.layers), reversed(cache.layers)):
+        dy, g = layer.backward(dy, layer_cache)
         if g:
             grads[layer.name] = g
     return grads
@@ -848,9 +820,9 @@ def collect_activation_stats(net: Network, batch_iter, n_batches: int):
     taken = 0
     for images, _ in batch_iter:
         _, cache = forward(net, images)
-        for layer, ctx in zip(net.layers, cache["layers"]):
+        for layer, layer_cache in zip(net.layers, cache.layers):
             if isinstance(layer, ReLU) and layer.owner is not None:
-                a = ctx["pre_quant"]
+                a = layer_cache.pre_quant
                 sums[layer.owner] = sums.get(layer.owner, 0.0) + float(a.sum())
                 sqs[layer.owner] = sqs.get(layer.owner, 0.0) + float((a * a).sum())
                 counts[layer.owner] = counts.get(layer.owner, 0) + a.size
@@ -882,7 +854,7 @@ def profile_thresholds(net: Network, batch_iter, formats,
     stats = collect_activation_stats(net, batch_iter, n_batches)
     table = ThresholdTable()
     for layer in net.compute_layers():
-        w_max = layer.max_abs_weight()
+        table.set_weight(layer.name, layer.max_abs_weight())
         act_stat = stats.get(layer.name)
         for fmt in fmts:
             if fmt.kind == "bf16":
@@ -896,21 +868,14 @@ def profile_thresholds(net: Network, batch_iter, formats,
                 act_t = std_multiple_for(fmt, std_table) * std
             else:
                 act_t = None
-            table.set(layer.name, fmt.name, w_max, act_t)
+            table.set_act(layer.name, fmt.name, act_t)
     return table
 
 
-def update_weight_thresholds(net: Network, table: ThresholdTable, formats) -> None:
-    """Refresh weight thresholds from current weights, keeping act entries."""
+def update_weight_thresholds(net: Network, table: ThresholdTable) -> None:
+    """Refresh every compute layer's weight threshold, its max |w|, from the current weights."""
     for layer in net.compute_layers():
-        w_max = layer.max_abs_weight()
-        for fmt in formats:
-            f = resolve_format(fmt)
-            if f.kind == "bf16":
-                continue
-            entry = table._entries.get((layer.name, f.name))
-            if entry is not None:
-                entry["weight"] = w_max
+        table.set_weight(layer.name, layer.max_abs_weight())
 
 
 def network_manifest(net: Network) -> ModelManifest:
@@ -923,10 +888,9 @@ def network_manifest(net: Network) -> ModelManifest:
     specs = []
     for layer in net.compute_layers():
         widths = sorted(set(layer.width_options or [1.0]) | {1.0})
-        kernels = getattr(layer, "kernel_sizes", None)
-        base_k = getattr(layer, "base_kernel", None)
+        kernels, base_k = layer.kernel_sizes, layer.base_kernel
         table = None
-        if len(widths) > 1 or (kernels and len(kernels) > 1):
+        if len(widths) > 1 or len(kernels) > 1:
             table = {}
             c_out = layer.out_channels
             for wm in widths:

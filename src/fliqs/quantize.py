@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .formats import NumericFormat, max_representable, resolve_format
+from .formats import max_representable, resolve_format
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -108,8 +108,3 @@ def switching_error(x, fmt_a, fmt_b, threshold: float | None = None,
     tb = None if fb.kind == "bf16" else tb
     a = np.asarray(x, dtype=np.float64)
     return np.abs(quantize(a, fb, tb) - quantize(a, fa, ta))
-
-
-def quantized_views_equal(fmt: NumericFormat) -> bool:
-    """True for formats whose fake-quant is effectively lossless at desk scale."""
-    return fmt.kind == "bf16"

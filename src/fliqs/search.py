@@ -51,6 +51,7 @@ from .network import (
     build_model,
     cross_entropy,
     forward,
+    load_weights,
     network_manifest,
     phase_for_step,
     profile_thresholds,
@@ -231,9 +232,15 @@ def _convert(value, hint, where: str):
         raise ConfigError(f"{where} must be {_describe(hint)}, "
                           f"got {_KIND_NAMES.get(kind, 'a value')}")
     if dataclasses.is_dataclass(arm):
-        unknown = sorted(set(value) - {f.name for f in dataclasses.fields(arm)})
+        fields = dataclasses.fields(arm)
+        unknown = sorted(set(value) - {f.name for f in fields})
         if unknown:
             raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+        missing = [f.name for f in fields if f.name not in value
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"{where}: missing key {missing[0]!r}")
         hints = typing.get_type_hints(arm)
         kwargs = {k: _convert(v, hints[k], f"{where}.{k}") for k, v in value.items()}
         try:
@@ -319,14 +326,8 @@ TRACE_PREFIX = ["step", "reward", "quality", "cost_gbops", "entropy", "beta",
 
 
 def trace_header(layer_names) -> list[str]:
-    cols = list(TRACE_PREFIX)
-    for n in layer_names:
-        cols.append(f"arch_{n}")
-    for n in layer_names:
-        cols.append(f"argmax_{n}")
-    for n in layer_names:
-        cols.append(f"maxprob_{n}")
-    return cols
+    return TRACE_PREFIX + [f"{col}_{n}" for col in ("arch", "argmax", "maxprob")
+                           for n in layer_names]
 
 
 def trace_row(rec: TraceRecord, layer_names) -> list[str]:
@@ -383,8 +384,7 @@ class SearchResult:
 def option_set_for(layer):
     """Width and kernel axes of one layer's option set."""
     widths = sorted(set(layer.width_options) | {1.0}) if layer.width_options else [1.0]
-    sizes = getattr(layer, "kernel_sizes", None)
-    kernels = sizes if sizes and len(sizes) > 1 else [None]
+    kernels = layer.kernel_sizes if len(layer.kernel_sizes) > 1 else [None]
     return widths, kernels
 
 
@@ -419,9 +419,7 @@ def _val_batches(images, labels, batch_size):
     if n == 0:
         raise ConfigError("validation split is empty; lower batch size or fraction")
     size = min(batch_size, n)
-    chunks = [(images[i : i + size], labels[i : i + size])
-              for i in range(0, n - size + 1, size)]
-    return chunks
+    return [(images[i : i + size], labels[i : i + size]) for i in range(0, n - size + 1, size)]
 
 
 def evaluate_accuracy(net: Network, images, labels, archs, phase, thresholds,
@@ -464,7 +462,8 @@ def _profile_formats(formats, net: Network):
     return list(fmts.values())
 
 
-def _run(cfg: SearchConfig, mode: str, fixed_archs: dict[str, ArchChoice] | None):
+def _run(cfg: SearchConfig, mode: str, fixed):
+    """Train and serve; `fixed` is a static run's archs or a uniform run's format."""
     ds = build_dataset(cfg.data, cfg.seed)
     data_shape = tuple(ds.images.shape[1:])
     net = build_model(cfg.model, seed=cfg.seed, input_shape=data_shape,
@@ -487,15 +486,15 @@ def _run(cfg: SearchConfig, mode: str, fixed_archs: dict[str, ArchChoice] | None
         if cfg.cost_target_gbops is None:
             raise ConfigError("search runs need cost_target_gbops")
     else:
-        if fixed_archs is None or set(fixed_archs) != set(searchable):
+        fixed_archs = fixed if mode == "static" else {n: ArchChoice(fixed) for n in searchable}
+        if set(fixed_archs) != set(searchable):
             raise ConfigError("static runs need one arch per searchable layer")
         formats = sorted({a.fmt for a in fixed_archs.values()}, key=lambda f: f.name)
         controller = None
 
     plan = BatchPlan(cfg.trainer.batch_size, cfg.seed, cfg.trainer.validation_fraction)
-    profile_fmts = _profile_formats(formats, net)
     thresholds = profile_thresholds(
-        net, batches(ds, plan, epoch=0), profile_fmts,
+        net, batches(ds, plan, epoch=0), _profile_formats(formats, net),
         std_table=cfg.std_multiples, n_batches=cfg.profile_batches,
     )
 
@@ -514,9 +513,7 @@ def _run(cfg: SearchConfig, mode: str, fixed_archs: dict[str, ArchChoice] | None
     total = cfg.total_steps
     warmup_steps = int(round(cfg.warmup_fraction * total)) if mode == "search" else 0
     act_start = int(round(cfg.act_quant_start_fraction * total))
-    has_branches = any(
-        len(getattr(l, "kernel_sizes", [])) > 1 for l in net.searchable_layers()
-    )
+    has_branches = any(len(l.kernel_sizes) > 1 for l in net.searchable_layers())
     records: list[TraceRecord] = []
     prev_archs: dict[str, ArchChoice] | None = None
 
@@ -535,7 +532,7 @@ def _run(cfg: SearchConfig, mode: str, fixed_archs: dict[str, ArchChoice] | None
                 joint = bool(rng.random() < p_joint)
 
             phase = phase_for_step(t, act_start)
-            update_weight_thresholds(net, thresholds, profile_fmts)
+            update_weight_thresholds(net, thresholds)
 
             images, labels = next(train_iter)
             logits, cache = forward(net, images, archs, phase, thresholds,
@@ -603,7 +600,7 @@ def _run(cfg: SearchConfig, mode: str, fixed_archs: dict[str, ArchChoice] | None
     # serving failures (e.g. non-finite weights) abort like in-loop ones
     try:
         round_weights_to_serving_precision(net)
-        update_weight_thresholds(net, thresholds, profile_fmts)
+        update_weight_thresholds(net, thresholds)
         serve_phase = QuantPhase(weight_quant=True, act_quant=True)
         served_accuracy = evaluate_accuracy(
             net, val_images, val_labels, final_archs, serve_phase, thresholds,
@@ -639,10 +636,32 @@ def run_uniform(cfg: SearchConfig, fmt=None) -> SearchResult:
     """Train with one format everywhere; the degenerate single-option search."""
     if fmt is None and cfg.format is None:
         raise ConfigError("uniform runs need a format")
-    f = resolve_format(fmt if fmt is not None else cfg.format)
-    net = build_model(cfg.model, seed=cfg.seed)
-    archs = {l.name: ArchChoice(f) for l in net.searchable_layers()}
-    return _run(cfg, "uniform", archs)
+    return _run(cfg, "uniform", resolve_format(fmt if fmt is not None else cfg.format))
+
+
+@dataclass
+class ServedLayer:
+    """One compute layer's entry in a served document."""
+
+    name: str
+    format: str
+    width_mult: float = 1.0
+    kernel: int | None = None
+    weight_threshold: float | None = None
+    act_threshold: float | None = None
+
+
+@dataclass
+class ServedDoc:
+    """served_config.json: serve_config writes it, served_doc_from_dict checks it."""
+
+    model: str | dict
+    layers: list[ServedLayer]
+    weights_file: str
+    schema_version: int = 1
+    seed: int | None = None
+    validation_accuracy: float | None = None
+    cost_gbops: float | None = None
 
 
 def serve_config(result: SearchResult) -> dict:
@@ -653,51 +672,33 @@ def serve_config(result: SearchResult) -> dict:
     """
     layers = []
     for layer in result.net.compute_layers():
-        name = layer.name
-        arch = result.final_archs.get(name, ArchChoice(layer.fixed_format))
-        if arch.fmt.kind == "bf16":
-            w_t = None
-            a_t = None
-        else:
-            w_t = result.thresholds.weight_threshold(name, arch.fmt)
-            a_t = result.thresholds.act_threshold(name, arch.fmt)
-        layers.append({
-            "name": name,
-            "format": arch.fmt.name,
-            "width_mult": arch.width_mult,
-            "kernel": arch.kernel,
-            "weight_threshold": w_t,
-            "act_threshold": a_t,
-        })
+        arch = result.final_archs.get(layer.name, ArchChoice(layer.fixed_format))
+        layers.append(ServedLayer(
+            layer.name, arch.fmt.name, arch.width_mult, arch.kernel,
+            result.thresholds.weight_threshold(layer.name, arch.fmt),
+            result.thresholds.act_threshold(layer.name, arch.fmt),
+        ))
     model = result.config.model
     model_doc = model if isinstance(model, dict) else {
         "builtin": model,
         "input_shape": list(result.net.input_shape),
         "classes": result.net.classes,
     }
-    return {
-        "schema_version": 1,
-        "model": model_doc,
-        "seed": result.config.seed,
-        "layers": layers,
-        "weights_file": "weights.bin",
-        "validation_accuracy": result.served_accuracy,
-        "cost_gbops": result.served_cost_gbops,
-    }
+    return _plain(dataclasses.asdict(ServedDoc(
+        model_doc, layers, "weights.bin", seed=result.config.seed,
+        validation_accuracy=result.served_accuracy, cost_gbops=result.served_cost_gbops,
+    )))
+
+
+def served_doc_from_dict(doc) -> ServedDoc:
+    """Check a parsed served document; bad keys or types raise ConfigError."""
+    return _convert(doc, ServedDoc, "served config")
 
 
 def load_served(doc: dict, weights_path):
     """Rebuild (net, archs, thresholds) from a serving document + checkpoint."""
-    from .network import load_weights
-
-    for key in ("model", "layers"):
-        if key not in doc:
-            raise ConfigError(f"served config: missing key {key!r}")
-    for i, entry in enumerate(doc["layers"]):
-        for key in ("name", "format"):
-            if key not in entry:
-                raise ConfigError(f"served config: layers[{i}] missing key {key!r}")
-    model_doc = doc["model"]
+    served = served_doc_from_dict(doc)
+    model_doc = served.model
     if isinstance(model_doc, dict) and "builtin" in model_doc:
         net = build_model(model_doc["builtin"], seed=0,
                           input_shape=model_doc.get("input_shape"),
@@ -707,14 +708,15 @@ def load_served(doc: dict, weights_path):
     load_weights(net, weights_path)
     archs = {}
     thresholds = ThresholdTable()
-    for entry in doc["layers"]:
-        fmt = resolve_format(entry["format"])
-        archs[entry["name"]] = ArchChoice(
-            fmt, entry.get("width_mult", 1.0), entry.get("kernel")
-        )
+    for entry in served.layers:
+        fmt = resolve_format(entry.format)
+        archs[entry.name] = ArchChoice(fmt, entry.width_mult, entry.kernel)
         if fmt.kind != "bf16":
-            thresholds.set(entry["name"], fmt.name,
-                           entry["weight_threshold"], entry["act_threshold"])
+            if entry.weight_threshold is None:
+                raise ConfigError(f"served config: layer {entry.name!r} ({fmt.name}) "
+                                  "has no weight_threshold")
+            thresholds.set_weight(entry.name, entry.weight_threshold)
+            thresholds.set_act(entry.name, fmt.name, entry.act_threshold)
     return net, archs, thresholds
 
 

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from fliqs.formats import float_mantissa_parity, max_representable
+from fliqs.formats import max_representable
 
 
 def oracle_quantize(x, fmt, threshold):
@@ -27,9 +27,30 @@ def oracle_quantize(x, fmt, threshold):
         return idx / qmax * t
     m = max_representable(fmt)
     y = clipped * (m / t)
-    values, parity = float_mantissa_parity(fmt)
+    values, parity = _mantissa_parity(fmt)
     snapped = _nearest_float_value(y, values, parity)
     return snapped / m * t
+
+
+def _mantissa_parity(fmt):
+    """Every value of a minifloat, ascending, and the parity of its mantissa code.
+
+    The parity breaks exact ties toward the even mantissa encoding.
+    """
+    e, m = fmt.exp_bits, fmt.mantissa_bits
+    bias = 2 ** (e - 1)
+    seen = {}
+    for code in range(2**e):
+        for frac in range(2**m):
+            if code == 0:
+                v = frac / 2**m * 2.0 ** (1 - bias)
+            else:
+                v = (1 + frac / 2**m) * 2.0 ** (code - bias)
+            seen.setdefault(v, frac % 2)
+    mags = sorted(seen)
+    values = [-v for v in reversed(mags) if v != 0.0] + mags
+    parity = [seen[abs(v)] for v in values]
+    return np.asarray(values, dtype=np.float64), np.asarray(parity, dtype=np.int64)
 
 
 # Distance-matrix entries per block: bounds the oracle's memory, not its result.

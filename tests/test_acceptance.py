@@ -14,7 +14,7 @@ import pytest
 
 from fliqs.analysis import SynthSpec, clipping_sweep, fit_exponential, switching_sweep
 from fliqs.arch import ArchChoice
-from fliqs.controller import LayerPolicy, beta_schedule, objective, policy_gradient
+from fliqs.controller import LayerPolicy, beta_schedule, policy_gradient
 from fliqs.costmodel import load_manifest, uniform_cost
 from fliqs.data import Dataset, write_idx
 from fliqs.formats import int_format, max_representable, representable_values
@@ -28,6 +28,7 @@ from fliqs.search import (
     run_static,
     run_uniform,
 )
+from controller_reference import objective
 from quantize_oracle import oracle_quantize
 from test_controller import DESIGNATED, _bandit
 from test_quantize import ORACLE_FORMATS

@@ -1,6 +1,9 @@
+import ast
 import json
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +31,6 @@ def _write_config(path, doc):
 
 
 def _run_dir_from(stdout: str):
-    from pathlib import Path
-
     line = next(l for l in stdout.splitlines() if l.startswith("run dir:"))
     return Path(line.split("run dir:", 1)[1].split("(")[0].strip())
 
@@ -389,6 +390,26 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "unknown key 'bins'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "switching", "trials": "x"}, "trials must be an integer"),
+        ({"kind": "clipping", "grid": {"start": 0, "stop": 1, "count": "x"}},
+         "grid.count must be an integer"),
+        ({"kind": "switching", "seed": -1}, "seed must be >= 0"),
+        ({"kind": "entropy", "run_dir": 5}, "run_dir must be a string"),
+        ({"kind": ["switching"]}, "kind must be one of"),
+        ({"kind": "clipping", "grid": {"start": 0, "stop": 1}}, "missing key 'count'"),
+        ({"kind": "switching", "percentile": 150}, "percentile must be in (0, 100]"),
+        ({"kind": "clipping", "grid": {"start": 0, "stop": 100, "count": 5}},
+         "grid.start must be in (0, 100]"),
+    ])
+    def test_bad_values_exit_2_with_one_error_line(self, doc, message, capsys, tmp_path):
+        cfg = _write_config(tmp_path / "a.json", doc)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: analyze config")
+        assert message in err[0]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCostCommand:
     def test_uniform_format_json(self, capsys):
@@ -467,6 +488,24 @@ class TestServeInfoCommand:
     def test_missing_config_exits_2(self, capsys, tmp_path):
         assert main(["serve-info", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"model": "mlp-2x16", "layers": [{"name": "fc1"}], "weights_file": "w"},
+         "layers[0]: missing key 'format'"),
+        ({"model": "mlp-2x16", "layers": [], "weights_file": "w",
+          "validation_accuracy": "high"}, "validation_accuracy must be a number"),
+        ({"model": "mlp-2x16", "layers": [{"name": "fc1", "format": "INT8",
+                                           "weight_threshold": "x"}], "weights_file": "w"},
+         "weight_threshold must be a number or null"),
+        ({"model": "mlp-2x16", "layers": []}, "missing key 'weights_file'"),
+    ])
+    def test_malformed_doc_exits_2_with_one_error_line(self, doc, message, capsys, tmp_path):
+        path = tmp_path / "served_config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["serve-info", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: served config")
+        assert message in err[0]
+
 
 class TestEntryPoints:
     def test_console_script(self):
@@ -486,3 +525,16 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_gbops"] == pytest.approx(467.7, rel=0.01)
+
+    def test_package_exports_cover_the_demos(self):
+        import fliqs
+
+        used = set()
+        for path in (Path(__file__).parent.parent / "demos").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fliqs"):
+                    used |= {alias.name for alias in node.names}
+        assert used and used <= set(fliqs.__all__)
+        assert len(set(fliqs.__all__)) == len(fliqs.__all__)
+        for name in fliqs.__all__:
+            assert not isinstance(getattr(fliqs, name), types.ModuleType), name

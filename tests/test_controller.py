@@ -14,7 +14,6 @@ from fliqs.controller import (
     beta_schedule,
     make_controller,
     model_entropy,
-    objective,
     policy_entropy,
     policy_gradient,
     reinforce_step,
@@ -23,6 +22,8 @@ from fliqs.controller import (
 )
 from fliqs.errors import DomainError
 from fliqs.formats import int_format
+
+from controller_reference import objective
 
 OPTIONS = [ArchChoice(int_format(k)) for k in (4, 6, 8)]
 DESIGNATED = (0, 1, 2)

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fliqs.costmodel import (
     LayerSpec,
     ModelManifest,
     RewardParams,
-    bundled_manifest_names,
     layer_cost,
     load_manifest,
     mac_table_key,
@@ -223,7 +223,11 @@ class TestManifestSchema:
 
 class TestBundledManifests:
     def test_names(self):
-        assert bundled_manifest_names() == ["mobilenetv2", "resnet18"]
+        files = resources.files("fliqs.manifests").iterdir()
+        names = sorted(f.name[: -len(".json")] for f in files if f.name.endswith(".json"))
+        assert names == ["mobilenetv2", "resnet18"]
+        for name in names:
+            assert load_manifest(name).layers
 
     def test_resnet18_shape(self):
         m = load_manifest("resnet18")

@@ -11,6 +11,7 @@ from fliqs.network import (
     Dense,
     MaxPool2D,
     QuantPhase,
+    Quantizer,
     SGDState,
     ThresholdTable,
     accuracy,
@@ -18,6 +19,7 @@ from fliqs.network import (
     build_model,
     builtin_model_config,
     cross_entropy,
+    fake_quant,
     forward,
     load_weight_arrays,
     load_weights,
@@ -228,10 +230,11 @@ class TestMasks:
             "out": arch_for("BF16"),
         }
         table = ThresholdTable()
-        table.set("fc1", "INT8", 10.0, 10.0)
+        table.set_weight("fc1", 10.0)
+        table.set_act("fc1", "INT8", 10.0)
         logits, cache = forward(net, x, archs, QuantPhase(True, False), table)
-        fc1_ctx = next(c for c in cache["layers"] if c["layer"] == "fc1")
-        assert fc1_ctx["mask"] is not None
+        fc1_cache = cache.layers[net.layers.index(net.layer_by_name("fc1"))]
+        assert fc1_cache.mask is not None
         # masked channels contribute nothing and receive no gradient
         grads = backward(net, cache, np.zeros(5, dtype=int))
         assert np.all(grads["fc1"]["W"][4:] == 0.0)
@@ -278,8 +281,10 @@ class TestForwardBackward:
         fc1.W[0, 0] = 5.0   # way past any reasonable clip
         threshold = 1.0
         table = ThresholdTable()
-        table.set("fc1", "INT4", threshold, 4.0)
-        table.set("out", "INT4", float(np.max(np.abs(net.layer_by_name("out").W))), None)
+        table.set_weight("fc1", threshold)
+        table.set_act("fc1", "INT4", 4.0)
+        table.set_weight("out", float(np.max(np.abs(net.layer_by_name("out").W))))
+        table.set_act("out", "INT4", None)
         x = np.random.default_rng(2).normal(size=(8, 1, 1, 4))
         archs = {"fc1": arch_for("INT4"), "out": arch_for("INT4")}
         _, cache = forward(net, x, archs, QuantPhase(weight_quant=True), table)
@@ -313,7 +318,7 @@ class TestForwardBackward:
         fc1 = net.layer_by_name("fc1")
         fmt = int_format(24)
         t = float(np.max(np.abs(fc1.W)))
-        wq, _ = fc1.quant_weight(fc1.W, fmt, t, active=True)
+        wq, _ = fake_quant(fc1.W, Quantizer(fmt, t))
         rel = np.linalg.norm(wq - fc1.W) / np.linalg.norm(fc1.W)
         assert rel < 1e-4
 
@@ -381,9 +386,8 @@ class TestThresholds:
         acts = []
         for images, _ in batches:
             _, cache = forward(net, images)
-            ctx = next(c for c in cache["layers"]
-                       if c["layer"].startswith("relu"))
-            acts.append(ctx["pre_quant"].ravel())
+            relu_cache = next(c for l, c in zip(net.layers, cache.layers) if l.kind == "relu")
+            acts.append(relu_cache.pre_quant.ravel())
         std = float(np.std(np.concatenate(acts)))
 
         assert table.act_threshold("fc1", int_format(4)) == pytest.approx(3.0 * std)
@@ -422,11 +426,23 @@ class TestThresholds:
         table = profile_thresholds(net, self._calib_batches(net), ["INT4"])
         act_before = table.act_threshold("fc1", int_format(4))
         net.layer_by_name("fc1").W *= 2.0
-        update_weight_thresholds(net, table, ["INT4"])
+        update_weight_thresholds(net, table)
         assert table.weight_threshold("fc1", int_format(4)) == pytest.approx(
             float(np.max(np.abs(net.layer_by_name("fc1").W)))
         )
         assert table.act_threshold("fc1", int_format(4)) == act_before
+
+
+    def test_one_weight_threshold_per_layer(self):
+        net = build_model("mlp-1x8", input_shape=(1, 1, 6), seed=2)
+        table = profile_thresholds(net, self._calib_batches(net), ["INT4", "INT8"])
+        net.layer_by_name("fc1").W *= 2.0
+        update_weight_thresholds(net, table)
+        w_max = float(np.max(np.abs(net.layer_by_name("fc1").W)))
+        assert table.weight_threshold("fc1", int_format(4)) == w_max
+        assert table.weight_threshold("fc1", int_format(8)) == w_max
+        with pytest.raises(ThresholdError, match="INT6"):
+            table.weight_threshold("fc1", int_format(6))
 
 
 class TestCheckpoints:
@@ -589,7 +605,8 @@ class TestLayerKernels:
         for l in net.compute_layers():
             w_t = 0.7 * l.max_abs_weight()
             a_t = None if l.name in ("c0", "fc") else 1.0
-            table.set(l.name, fmt, w_t, a_t)
+            table.set_weight(l.name, w_t)
+            table.set_act(l.name, fmt, a_t)
             limits[l.name] = (w_t, a_t)
         phase = QuantPhase(weight_quant, act_quant)
         logits, cache = forward(net, x, archs, phase, table, joint_branches=joint)
@@ -609,9 +626,8 @@ class TestLayerKernels:
         x = rng.integers(0, 3, size=(2, 3, 6, 6)).astype(np.float64)
         dy = rng.normal(size=(2, 3, 3, 3))
         pool = MaxPool2D("p", 2)
-        ctx = {}
-        y = pool.forward(x, ctx)
-        dx, _ = pool.backward(dy, ctx)
+        y, cache = pool.forward(x)
+        dx, _ = pool.backward(dy, cache)
         want_y, winners = maxpool_forward(x, 2)
         assert np.array_equal(y, want_y)
         assert np.array_equal(dx, maxpool_backward(x.shape, winners, dy))
@@ -620,8 +636,8 @@ class TestLayerKernels:
         x = np.array([[[[1.0, 1.0, 2.0, 5.0],
                         [1.0, 1.0, 5.0, 4.0]]]])
         pool = MaxPool2D("p", 2)
-        ctx = {}
-        assert np.array_equal(pool.forward(x, ctx), [[[[1.0, 5.0]]]])
-        dx, _ = pool.backward(np.array([[[[3.0, 7.0]]]]), ctx)
+        y, cache = pool.forward(x)
+        assert np.array_equal(y, [[[[1.0, 5.0]]]])
+        dx, _ = pool.backward(np.array([[[[3.0, 7.0]]]]), cache)
         assert np.array_equal(dx, [[[[3.0, 0.0, 0.0, 7.0],
                                      [0.0, 0.0, 0.0, 0.0]]]])
