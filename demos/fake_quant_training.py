@@ -70,5 +70,5 @@ for step in range(300):
         print(f"step {step:3d}  loss {cross_entropy(logits, yb):.4f}")
 
 vx, vy = validation_set(ds, plan)
-logits, _ = forward(net, vx, archs, phase, thresholds)
+logits, _ = forward(net, vx, archs, phase, thresholds, train=False)
 print(f"INT4 validation accuracy: {accuracy(logits, vy):.4f}")

@@ -24,12 +24,16 @@ from .analysis import SynthSpec, clipping_sweep, entropy_switch_correlation, \
     fit_exponential, switching_sweep
 from .arch import ArchChoice
 from .costmodel import GBOPS, layer_cost, load_manifest, model_cost
-from .errors import ConfigError, FitError, FliqsError, FormatSpecError, \
+from .errors import ConfigError, DataError, FitError, FliqsError, FormatSpecError, \
     ManifestError, SearchAbort
 from .formats import resolve_format
 from .network import save_weights
-from .search import _convert, _require, run_search, run_uniform, search_config_from_dict, \
-    search_config_to_dict, serve_config, served_doc_from_dict, write_trace_csv
+from .search import ServedBuiltin, _convert, _require, run_search, run_uniform, \
+    search_config_from_dict, search_config_to_dict, serve_config, served_doc_from_dict, \
+    write_trace_csv
+
+# errors that mean bad input (configs, data and run files): the CLI exits 2 on these
+_BAD_INPUT = (ConfigError, DataError, FormatSpecError, ManifestError)
 
 
 def _load_json(path) -> dict:
@@ -226,8 +230,8 @@ def _sweep_worker(job):
     _write_json(path / "resolved_config.json", _resolved_doc(cfg, command))
     try:
         result = run_search(cfg) if command == "search" else run_uniform(cfg)
-    except (ConfigError, FormatSpecError, ManifestError):
-        raise  # a config error is the whole sweep's, as under `fliqs search`
+    except _BAD_INPUT:
+        raise  # bad input is the whole sweep's, as under `fliqs search`
     except FliqsError as e:
         # a failed row fails only that row; the other rows still run
         if isinstance(e, SearchAbort):
@@ -397,28 +401,51 @@ def _analyze_clipping(study: ClippingStudy, out_dir: Path) -> dict:
     return {"kind": "clipping", "optimal_percentile": optimal}
 
 
+def _run_value(doc: dict, path: Path, key: str, hint: type):
+    """One value of a run directory's JSON file, checked against hint; never defaulted."""
+    if key not in doc:
+        raise ConfigError(f"{path}: missing key {key!r}")
+    return _convert(doc[key], hint, f"{path}: {key}")
+
+
+def _warmup_steps(run: Path) -> int:
+    """result.json records the run's warmup steps; without it, resolved_config.json's schedule."""
+    path = run / "result.json"
+    if path.exists():
+        return _run_value(_load_json(path), path, "warmup_steps", int)
+    path = run / "resolved_config.json"
+    resolved = _load_json(path)
+    total = _run_value(resolved, path, "total_steps", int)
+    return int(round(_run_value(resolved, path, "warmup_fraction", float) * total))
+
+
+_ENTROPY_COLUMNS = (("step", int), ("entropy", float), ("switch_rms", float))
+
+
 def _analyze_entropy(study: EntropyStudy, out_dir: Path) -> dict:
     run = Path(study.run_dir)
     trace_path = run / "trace.csv"
     if not trace_path.exists():
         raise ConfigError(f"{trace_path}: no trace found")
-    resolved = _load_json(run / "resolved_config.json")
-    total = resolved.get("total_steps")
-    warm = resolved.get("warmup_fraction", 0.25)
-    result_path = run / "result.json"
-    if result_path.exists():
-        warmup_steps = _load_json(result_path).get("warmup_steps")
-    else:
-        warmup_steps = int(round(float(warm) * int(total)))
+    warmup_steps = _warmup_steps(run)
 
     entropy = []
     switch = []
     with open(trace_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            if int(rec["step"]) < warmup_steps:
+        reader = csv.DictReader(fh)
+        for key, _ in _ENTROPY_COLUMNS:
+            if key not in (reader.fieldnames or ()):
+                raise DataError(f"{trace_path}: no {key!r} column")
+        for rec in reader:
+            try:
+                step, ent, sw = (kind(rec[key]) for key, kind in _ENTROPY_COLUMNS)
+            except (TypeError, ValueError):  # TypeError: a short row gives None
+                raise DataError(f"{trace_path}: line {reader.line_num}: step, entropy and "
+                                "switch_rms must be numbers") from None
+            if step < warmup_steps:
                 continue
-            entropy.append(float(rec["entropy"]))
-            switch.append(float(rec["switch_rms"]))
+            entropy.append(ent)
+            switch.append(sw)
     rho = entropy_switch_correlation(entropy, switch, min_steps=study.min_steps)
     summary = {"kind": "entropy", "spearman": rho, "steps": len(entropy),
                "warmup_steps": warmup_steps, "run_dir": str(run)}
@@ -516,7 +543,8 @@ def cmd_serve_info(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     model = served.model
-    model_name = model.get("builtin", "inline") if isinstance(model, dict) else model
+    model_name = model.builtin if isinstance(model, ServedBuiltin) else (
+        "inline" if isinstance(model, dict) else model)
     print(f"model: {model_name}")
     print(f"seed: {served.seed}")
     if served.validation_accuracy is not None:
@@ -594,7 +622,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatSpecError, ManifestError) as e:
+    except _BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FliqsError as e:

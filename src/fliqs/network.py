@@ -19,15 +19,23 @@ state.  A ThresholdTable keeps one weight threshold per layer (its max |w|,
 refreshed every step) and one activation threshold per (layer, format),
 profiled once before training.
 
-Convolutions run on BLAS: im2col is one copy of a strided view, the conv
-forward one `tensordot`, its backward a `tensordot` and a batched `matmul`,
-and the depthwise weight gradient a batched `matmul`.  Two rules hold results fixed.
+Convolutions run on BLAS: im2col is one copy of a strided view, laid out
+for the conv as (n, h*w, c*k*k) rows that the forward `tensordot` and the
+weight-gradient `tensordot` both read without a further copy; the backward
+adds a batched `matmul`, and the depthwise weight gradient is a batched
+`matmul`.  Two rules hold results fixed.
 The forward summation order (conv `tensordot` operand order, depthwise
 `einsum`) must not change: under activation quantization some outputs cancel
 to exactly 0.0, and another order leaves +-1e-17 that flips the ReLU mask.
 Max pooling sends each window's gradient to its first maximum in row-major
 order, since quantized activations tie often.  `python3 bench/run.py
 --workload desk-int --trace 1` prints the time of each layer.
+
+`forward(..., train=False)` is the inference mode of validation and
+serving: no STE or ReLU masks, no max-pool winners, no caches, and the same
+logits bit for bit.  Kernels write only into arrays they allocated
+themselves (the bias add and width mask go into the layer's fresh output,
+quantize rounds its own clipped copy); an input may be the caller's array.
 
 Master weights stay in float64; quantization only shapes the forward views.
 Biases are not quantized (they ride in the accumulator).
@@ -126,13 +134,16 @@ class Quantizer(NamedTuple):
     threshold: float | None
 
 
-def fake_quant(x: np.ndarray, quant: Quantizer | None):
-    """(forward view, STE mask) of x; the mask is None where gradients pass freely."""
+def fake_quant(x: np.ndarray, quant: Quantizer | None, train: bool = True):
+    """(forward view, STE mask) of x.
+
+    The mask is None where gradients pass freely, and always when train is
+    off (nothing will run backward).
+    """
     if quant is None:
         return x, None
-    if quant.threshold is None:
-        return quantize(x, quant.fmt), None
-    return quantize(x, quant.fmt, quant.threshold), np.abs(x) <= quant.threshold
+    ste = np.abs(x) <= quant.threshold if train and quant.threshold is not None else None
+    return quantize(x, quant.fmt, quant.threshold), ste
 
 
 def _mask_for(width_mult: float, channels: int) -> np.ndarray:
@@ -164,10 +175,11 @@ class Layer:
 
 
 class ComputeLayer(Layer):
-    """A layer with weights: forward(x, arch, quant, joint_branches).
+    """A layer with weights: forward(x, arch, quant, joint_branches, train).
 
-    `quant` is the weight quantizer (None when weights stay float) and
-    `joint_branches` asks a kernel-search layer to average all its branches.
+    `quant` is the weight quantizer (None when weights stay float),
+    `joint_branches` asks a kernel-search layer to average all its branches,
+    and with `train` off the layer returns (y, None), building no cache.
     """
 
     is_compute = True
@@ -228,13 +240,14 @@ class Dense(ComputeLayer):
         self.b = np.zeros(self.out_features)
 
     def forward(self, x, arch: ArchChoice, quant: Quantizer | None = None,
-                joint_branches: bool = False):
-        wq, ste = fake_quant(self.W, quant)
-        y = x @ wq.T + self.b
+                joint_branches: bool = False, train: bool = True):
+        wq, ste = fake_quant(self.W, quant, train)
+        y = x @ wq.T
+        y += self.b
         mask = self.width_mask(arch)
         if mask is not None:
-            y = y * mask
-        return y, DenseCache(x, wq, ste, mask)
+            y *= mask
+        return y, DenseCache(x, wq, ste, mask) if train else None
 
     def backward(self, dy, cache: DenseCache):
         if cache.mask is not None:
@@ -245,12 +258,11 @@ class Dense(ComputeLayer):
         return dy @ cache.wq, {"W": dW, "b": dy.sum(axis=0)}
 
 
-def _im2col(x, k):
-    """(n, c, k, k, h, w) same-padded patches: one copy of a strided window view."""
+def _windows(x, k):
+    """(n, c, h, w, k, k) strided view of x's same-padded k x k windows; im2col copies it."""
     p = k // 2
     x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
-    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    return np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
 
 
 def _col2im(tap, shape, k):
@@ -302,7 +314,7 @@ class BranchedConv(ComputeLayer):
         self.b = np.zeros(self.out_channels)
 
     def forward(self, x, arch: ArchChoice, quant: Quantizer | None = None,
-                joint_branches: bool = False):
+                joint_branches: bool = False, train: bool = True):
         if joint_branches and len(self.kernel_sizes) > 1:
             branches = self.kernel_sizes
         else:
@@ -312,15 +324,17 @@ class BranchedConv(ComputeLayer):
         for k in branches:
             if k not in self.weights:
                 raise ConfigError(f"layer {self.name!r}: no branch for kernel {k}")
-            wq, ste = fake_quant(self.weights[k], quant)
+            wq, ste = fake_quant(self.weights[k], quant, train)
             y, cols = self._branch_forward(x, k, wq)
-            outs.append(y + self.b[None, :, None, None])
-            saved[k] = (wq, ste, cols)
+            y += self.b[None, :, None, None]
+            outs.append(y)
+            if train:
+                saved[k] = (wq, ste, cols)
         y = outs[0] if len(outs) == 1 else sum(outs) / len(outs)
         mask = self.width_mask(arch)
         if mask is not None:
-            y = y * mask[None, :, None, None]
-        return y, BranchCache(x.shape, saved, mask)
+            y *= mask[None, :, None, None]
+        return y, BranchCache(x.shape, saved, mask) if train else None
 
     def backward(self, dy, cache: BranchCache):
         if cache.mask is not None:
@@ -354,15 +368,17 @@ class Conv2D(BranchedConv):
 
     def _branch_forward(self, x, k, wq):
         n, _, h, w = x.shape
-        cols_mat = _im2col(x, k).reshape(n, self.in_channels * k * k, h * w)
-        y = np.tensordot(cols_mat, wq.reshape(self.out_channels, -1), axes=([1], [1]))
-        return y.transpose(0, 2, 1).reshape(n, self.out_channels, h, w), cols_mat
+        # patches as (n, h*w, c*k*k) rows: both GEMMs read them as they lie, with no copy
+        cols = np.ascontiguousarray(_windows(x, k).transpose(0, 2, 3, 1, 4, 5))
+        cols = cols.reshape(n, h * w, self.in_channels * k * k)
+        y = np.tensordot(cols, wq.reshape(self.out_channels, -1), axes=([2], [1]))
+        return y.transpose(0, 2, 1).reshape(n, self.out_channels, h, w), cols
 
-    def _branch_backward(self, dy, wq, cols_mat, x_shape):
+    def _branch_backward(self, dy, wq, cols, x_shape):
         n, c, h, w = x_shape
         k = wq.shape[-1]
         dy_mat = dy.reshape(n, self.out_channels, h * w)
-        dW = np.tensordot(dy_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(wq.shape)
+        dW = np.tensordot(dy_mat, cols, axes=([0, 2], [0, 1])).reshape(wq.shape)
         w_mat = wq.reshape(self.out_channels, -1)
         dcols = np.matmul(w_mat.T, dy_mat).reshape(n, c, k, k, h, w)
         return dW, _col2im(lambda i, j: dcols[:, :, i, j], x_shape, k)
@@ -388,7 +404,7 @@ class DepthwiseConv2D(BranchedConv):
 
     def _branch_forward(self, x, k, wq):
         n, c, h, w = x.shape
-        cols = _im2col(x, k)
+        cols = np.ascontiguousarray(_windows(x, k).transpose(0, 1, 4, 5, 2, 3))
         y = np.einsum("ncijl,cij->ncl", cols.reshape(n, c, k, k, h * w), wq)
         return y.reshape(n, c, h, w), cols
 
@@ -403,8 +419,7 @@ class DepthwiseConv2D(BranchedConv):
 
 class ReLUCache(NamedTuple):
     pre_quant: np.ndarray       # the rectified values before fake quantization
-    relu_mask: np.ndarray
-    ste: np.ndarray | None
+    mask: np.ndarray            # where dy passes: x > 0, and inside the STE range
 
 
 class ReLU(Layer):
@@ -416,21 +431,19 @@ class ReLU(Layer):
         super().__init__(name)
         self.owner = owner
 
-    def forward(self, x, quant: Quantizer | None = None):
+    def forward(self, x, quant: Quantizer | None = None, train: bool = True):
         """quant is the owner's activation quantizer, None while activations stay float."""
-        y = pre = np.maximum(x, 0.0)
-        ste = None
-        if quant is not None and quant.threshold is None:
-            y = quantize(pre, quant.fmt)
-        elif quant is not None:
-            y = quantize(pre, quant.fmt, quant.threshold)
-            ste = pre <= quant.threshold  # pre >= 0: no abs needed
-        return y, ReLUCache(pre, x > 0.0, ste)
+        pre = np.maximum(x, 0.0)
+        y = pre if quant is None else quantize(pre, quant.fmt, quant.threshold)
+        if not train:
+            return y, None
+        mask = pre > 0.0
+        if quant is not None and quant.threshold is not None:
+            mask &= pre <= quant.threshold  # pre >= 0: no abs needed
+        return y, ReLUCache(pre, mask)
 
     def backward(self, dy, cache: ReLUCache):
-        if cache.ste is not None:
-            dy = dy * cache.ste
-        return dy * cache.relu_mask, {}
+        return dy * cache.mask, {}
 
 
 class MaxPool2D(Layer):
@@ -440,10 +453,16 @@ class MaxPool2D(Layer):
         super().__init__(name)
         self.size = int(size)
 
-    def forward(self, x):
+    def forward(self, x, train: bool = True):
         s = self.size
-        # offsets in row-major window order; strict > keeps the first max
         y = x[:, :, ::s, ::s]
+        if not train:
+            # no winners to track: a running maximum over the other offsets,
+            # written into the array the first np.maximum made
+            for o in range(1, s * s):
+                y = np.maximum(x[:, :, o // s :: s, o % s :: s], y, out=y if o > 1 else None)
+            return y, None
+        # offsets in row-major window order; strict > keeps the first max
         idx = np.zeros(y.shape, dtype=np.intp)
         for o in range(1, s * s):
             cand = x[:, :, o // s :: s, o % s :: s]
@@ -719,14 +738,16 @@ class ForwardCache(NamedTuple):
 
 def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
             thresholds: ThresholdTable | None = None,
-            joint_branches: bool = False):
+            joint_branches: bool = False, train: bool = True):
     """Run the network. Returns (logits, ForwardCache) for a later backward pass.
 
     archs maps searchable layer names to ArchChoice; non-searchable compute
     layers use their pinned format.  With phase None (or both quantizers off)
     this is a plain float forward and archs may be omitted entirely.  Each
     compute layer gets its weight quantizer and each ReLU its owner's
-    activation quantizer from here.
+    activation quantizer from here.  With train False (validation and
+    serving) no layer builds backward state and the result is (logits, None);
+    the logits are the same bits as with train True.
     """
     phase = phase or QuantPhase()
     quant_on = phase.weight_quant or phase.act_quant
@@ -742,20 +763,23 @@ def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
             chosen[layer.name] = arch
             if phase.weight_quant:
                 quant = _quantizer(thresholds, layer.name, arch.fmt, "weight")
-            y, cache = layer.forward(x, arch, quant, joint_branches)
+            y, cache = layer.forward(x, arch, quant, joint_branches, train)
         elif isinstance(layer, ReLU):
             if phase.act_quant and layer.owner is not None:
                 quant = _quantizer(thresholds, layer.owner, chosen[layer.owner].fmt, "activation")
-            y, cache = layer.forward(x, quant)
+            y, cache = layer.forward(x, quant, train)
+        elif isinstance(layer, MaxPool2D):
+            y, cache = layer.forward(x, train)
         else:
             y, cache = layer.forward(x)
         if not np.all(np.isfinite(y)):
             raise NumericalError(
                 f"layer {layer.name!r} (index {i}) produced non-finite activations"
             )
-        caches.append(cache)
+        if train:
+            caches.append(cache)
         x = y
-    return x, ForwardCache(x, caches)
+    return x, ForwardCache(x, caches) if train else None
 
 
 def cross_entropy(logits, labels) -> float:

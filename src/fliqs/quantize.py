@@ -34,29 +34,42 @@ def bf16_round(x) -> np.ndarray:
     Both roundings are to nearest, ties to even.  No clipping is applied;
     BF16 shares float32's exponent range.
     """
-    a = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    a = np.asarray(x, dtype=np.float64)
     _check_finite(a, "input tensor")
+    return _bf16(a)
+
+
+def _bf16(a: np.ndarray) -> np.ndarray:
+    # the bit operations run in place on the float32 copy this function made
     u = a.astype(np.float32).view(np.uint32)
-    round_bias = np.uint32(0x7FFF) + ((u >> np.uint32(16)) & np.uint32(1))
-    truncated = ((u + round_bias) >> np.uint32(16)) << np.uint32(16)
-    return truncated.view(np.float32).astype(np.float64)
+    round_bias = u >> np.uint32(16)
+    round_bias &= np.uint32(1)
+    round_bias += np.uint32(0x7FFF)
+    u += round_bias
+    u >>= np.uint32(16)
+    u <<= np.uint32(16)
+    return u.view(np.float32).astype(np.float64)
 
 
-def _snap_to_float_grid(y: np.ndarray, exp_bits: int, mantissa_bits: int) -> np.ndarray:
-    """Nearest grid point of the minifloat value set, ties to even mantissa.
+def _snap_to_float_grid(y: np.ndarray, exp_bits: int, mantissa_bits: int) -> None:
+    """Move y, in place, to the nearest point of the minifloat value set.
 
-    y must already lie within [-max_finite, max_finite].  Each value rounds
-    on its own binade's uniform grid; the subnormal binade shares the first
-    normal binade's step, which makes the even-mantissa tie rule coincide
-    with round-half-to-even on the grid index.
+    Ties go to the even mantissa.  y must be an array of at least one
+    dimension that already lies within [-max_finite, max_finite].  Each
+    value rounds on its own binade's uniform grid; the subnormal binade
+    shares the first normal binade's step, which makes the even-mantissa
+    tie rule coincide with round-half-to-even on the grid index.
     """
-    bias = 2 ** (exp_bits - 1)
-    emin = 1 - bias
-    frac, exp2 = np.frexp(np.abs(y))
-    # frexp maps y = f * 2^E with f in [0.5, 1), so floor(log2 |y|) = E - 1.
-    binade = np.maximum(exp2 - 1, emin)
-    step = np.ldexp(1.0, binade - mantissa_bits)
-    return np.rint(y / step) * step
+    emin = 1 - 2 ** (exp_bits - 1)
+    # frexp maps y = f * 2^E with f in [0.5, 1), so floor(log2 |y|) = E - 1;
+    # the grid step is 2^(max(E - 1, emin) - mantissa_bits)
+    frac, exp2 = np.frexp(y)
+    exp2 -= 1 + mantissa_bits
+    np.maximum(exp2, emin - mantissa_bits, out=exp2)
+    step = np.ldexp(1.0, exp2, out=frac)  # the mantissas are not needed: reuse their buffer
+    y /= step
+    np.rint(y, out=y)
+    y *= step
 
 
 def quantize(x, fmt, threshold: float | None = None) -> np.ndarray:
@@ -65,26 +78,34 @@ def quantize(x, fmt, threshold: float | None = None) -> np.ndarray:
     Returns an array of the same shape holding the nearest representable
     values, scaled so that +-threshold maps to the format's extreme finite
     magnitudes.  BF16 ignores the threshold (pass None).  Scalars in give a
-    0-d array back; use .item() if a Python float is wanted.
+    0-d array back; use .item() if a Python float is wanted.  x is never
+    written: the result is a new array.
     """
     f = resolve_format(fmt)
     a = np.asarray(x, dtype=np.float64)
     _check_finite(a, "input tensor")
     if f.kind == "bf16":
-        return bf16_round(a)
+        return _bf16(a)
     if threshold is None:
         raise DomainError(f"{f.name} requires a clipping threshold")
     t = _check_threshold(threshold)
-    clipped = np.clip(a, -t, t)
+    # the clipped copy is the only new array; every later step works in place
+    # on it (at least 1-d, since ufuncs return scalars for 0-d operands)
+    y = np.clip(np.atleast_1d(a), -t, t)
     if f.kind == "int":
         qmax = 2 ** (f.bits - 1) - 1
-        scale = qmax / t
+        y *= qmax / t
+        np.rint(y, out=y)
         # materialize as (i/qmax)*t, not i/scale: saturated values must
         # equal the threshold exactly, which i/scale misses by an ulp
-        return np.rint(clipped * scale) / qmax * t
-    m = max_representable(f)
-    scale = m / t
-    return _snap_to_float_grid(clipped * scale, f.exp_bits, f.mantissa_bits) / m * t
+        y /= qmax
+    else:
+        m = max_representable(f)
+        y *= m / t
+        _snap_to_float_grid(y, f.exp_bits, f.mantissa_bits)
+        y /= m
+    y *= t
+    return y.reshape(a.shape)
 
 
 def quant_error(x, fmt, threshold: float | None = None) -> np.ndarray:

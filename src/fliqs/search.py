@@ -211,7 +211,7 @@ def _kind(value) -> type:
 
 def _describe(hint) -> str:
     if typing.get_origin(hint) is types.UnionType:
-        return " or ".join(map(_describe, typing.get_args(hint)))
+        return " or ".join(dict.fromkeys(map(_describe, typing.get_args(hint))))
     if hasattr(hint, "_fields"):
         return f"[{', '.join(hint._fields)}]"
     return _KIND_NAMES[_shape(hint)]
@@ -430,7 +430,8 @@ def evaluate_accuracy(net: Network, images, labels, archs, phase, thresholds,
         raise DomainError("cannot evaluate accuracy on an empty set")
     hits = 0
     for i in range(0, n, batch_size):
-        logits, _ = forward(net, images[i : i + batch_size], archs, phase, thresholds)
+        logits, _ = forward(net, images[i : i + batch_size], archs, phase, thresholds,
+                            train=False)
         hits += int(np.sum(logits.argmax(axis=1) == labels[i : i + batch_size]))
     return hits / n
 
@@ -543,7 +544,7 @@ def _run(cfg: SearchConfig, mode: str, fixed):
                      cfg.trainer.weight_decay)
 
             vb_images, vb_labels = val_chunks[t % len(val_chunks)]
-            vlogits, _ = forward(net, vb_images, archs, phase, thresholds)
+            vlogits, _ = forward(net, vb_images, archs, phase, thresholds, train=False)
             quality = accuracy(vlogits, vb_labels)
 
             cost = model_cost(manifest, _manifest_archs(manifest, archs))
@@ -652,10 +653,28 @@ class ServedLayer:
 
 
 @dataclass
-class ServedDoc:
-    """served_config.json: serve_config writes it, served_doc_from_dict checks it."""
+class ServedBuiltin:
+    """A built-in model in a served document, with the shapes it was built for."""
 
-    model: str | dict
+    builtin: str
+    input_shape: list[int]
+    classes: int
+
+    def __post_init__(self):
+        _require(len(self.input_shape) in (1, 3) and all(n >= 1 for n in self.input_shape),
+                 "input_shape", "1 or 3 positive sizes", self.input_shape)
+        _require(self.classes >= 1, "classes", "positive", self.classes)
+
+
+@dataclass
+class ServedDoc:
+    """served_config.json: serve_config writes it, served_doc_from_dict checks it.
+
+    `model` is a model config object, a built-in name, or a ServedBuiltin
+    (an object with a "builtin" key).
+    """
+
+    model: str | dict | ServedBuiltin
     layers: list[ServedLayer]
     weights_file: str
     schema_version: int = 1
@@ -679,11 +698,8 @@ def serve_config(result: SearchResult) -> dict:
             result.thresholds.act_threshold(layer.name, arch.fmt),
         ))
     model = result.config.model
-    model_doc = model if isinstance(model, dict) else {
-        "builtin": model,
-        "input_shape": list(result.net.input_shape),
-        "classes": result.net.classes,
-    }
+    model_doc = model if isinstance(model, dict) else ServedBuiltin(
+        model, list(result.net.input_shape), result.net.classes)
     return _plain(dataclasses.asdict(ServedDoc(
         model_doc, layers, "weights.bin", seed=result.config.seed,
         validation_accuracy=result.served_accuracy, cost_gbops=result.served_cost_gbops,
@@ -692,19 +708,21 @@ def serve_config(result: SearchResult) -> dict:
 
 def served_doc_from_dict(doc) -> ServedDoc:
     """Check a parsed served document; bad keys or types raise ConfigError."""
-    return _convert(doc, ServedDoc, "served config")
+    served = _convert(doc, ServedDoc, "served config")
+    if isinstance(served.model, dict) and "builtin" in served.model:
+        served.model = _convert(served.model, ServedBuiltin, "served config.model")
+    return served
 
 
 def load_served(doc: dict, weights_path):
     """Rebuild (net, archs, thresholds) from a serving document + checkpoint."""
     served = served_doc_from_dict(doc)
-    model_doc = served.model
-    if isinstance(model_doc, dict) and "builtin" in model_doc:
-        net = build_model(model_doc["builtin"], seed=0,
-                          input_shape=model_doc.get("input_shape"),
-                          classes=model_doc.get("classes"))
+    model = served.model
+    if isinstance(model, ServedBuiltin):
+        net = build_model(model.builtin, seed=0, input_shape=model.input_shape,
+                          classes=model.classes)
     else:
-        net = build_model(model_doc, seed=0)
+        net = build_model(model, seed=0)
     load_weights(net, weights_path)
     archs = {}
     thresholds = ThresholdTable()

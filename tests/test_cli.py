@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fliqs.cli import main
+from fliqs.errors import DataError
 
 RUN_CONFIG = {
     "model": "mlp-2x16",
@@ -376,6 +377,53 @@ class TestAnalyzeCommand:
         assert summary["steps"] == 120
         assert -1.0 <= summary["spearman"] <= 1.0
 
+    @pytest.mark.parametrize("files,message", [
+        ({"resolved_config.json": {}}, "resolved_config.json: missing key 'total_steps'"),
+        ({"resolved_config.json": {"total_steps": 10}},
+         "resolved_config.json: missing key 'warmup_fraction'"),
+        ({"resolved_config.json": {"total_steps": "10", "warmup_fraction": 0.25}},
+         "resolved_config.json: total_steps must be an integer"),
+        ({"result.json": {}}, "result.json: missing key 'warmup_steps'"),
+        ({"result.json": {"warmup_steps": None}}, "result.json: warmup_steps must be an integer"),
+    ])
+    def test_entropy_run_files_exit_2_with_one_error_line(self, files, message, capsys,
+                                                           tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trace.csv").write_text("step,entropy,switch_rms\n")
+        for name, doc in files.items():
+            (run / name).write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "a.json", {"kind": "entropy", "run_dir": str(run)})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize("row", ["x,1.0,0.1", "2.5,1.0,0.1", "1,high,0.1", "1,1.0,",
+                                     "1,1.0"])
+    def test_entropy_non_numeric_trace_row_exits_2(self, row, capsys, tmp_path):
+        from fliqs.cli import EntropyStudy, _analyze_entropy
+
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trace.csv").write_text(f"step,entropy,switch_rms\n0,1.0,0.1\n{row}\n")
+        (run / "resolved_config.json").write_text(
+            json.dumps({"total_steps": 2, "warmup_fraction": 0.0}))
+        with pytest.raises(DataError, match="line 3: step, entropy and switch_rms"):
+            _analyze_entropy(EntropyStudy("entropy", str(run)), tmp_path)
+        cfg = _write_config(tmp_path / "a.json", {"kind": "entropy", "run_dir": str(run)})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "trace.csv: line 3" in err[0]
+
+    def test_entropy_trace_without_column_exits_2(self, capsys, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trace.csv").write_text("step,entropy\n0,1.0\n")
+        (run / "result.json").write_text(json.dumps({"warmup_steps": 0}))
+        cfg = _write_config(tmp_path / "a.json", {"kind": "entropy", "run_dir": str(run)})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "no 'switch_rms' column" in capsys.readouterr().err
+
     def test_entropy_needs_run_dir(self, capsys, tmp_path):
         cfg = _write_config(tmp_path / "a.json", {"kind": "entropy"})
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -497,6 +545,10 @@ class TestServeInfoCommand:
                                            "weight_threshold": "x"}], "weights_file": "w"},
          "weight_threshold must be a number or null"),
         ({"model": "mlp-2x16", "layers": []}, "missing key 'weights_file'"),
+        ({"model": {"builtin": "mlp-2x16", "input_shape": [1, 1, 16], "classes": "x"},
+          "layers": [], "weights_file": "w"}, "model.classes must be an integer"),
+        ({"model": {"builtin": "mlp-2x16", "classes": 10}, "layers": [], "weights_file": "w"},
+         "model: missing key 'input_shape'"),
     ])
     def test_malformed_doc_exits_2_with_one_error_line(self, doc, message, capsys, tmp_path):
         path = tmp_path / "served_config.json"

@@ -99,6 +99,26 @@ class TestReproducedDefects:
         with pytest.raises(ConfigError, match="missing key"):
             load_served(doc, tmp_path / "weights.bin")
 
+    @pytest.mark.parametrize("model,message", [
+        ({"builtin": "mlp-1x8", "input_shape": [1, 1, 16], "classes": "x"},
+         "served config.model.classes must be an integer, got a string"),
+        ({"builtin": "mlp-1x8", "input_shape": [1, 1, 16], "classes": 0},
+         "served config.model.classes must be positive, got 0"),
+        ({"builtin": "mlp-1x8", "input_shape": [1, "x", 16], "classes": 4},
+         r"served config.model.input_shape\[1\] must be an integer"),
+        ({"builtin": "mlp-1x8", "input_shape": [1, 16], "classes": 4},
+         "input_shape must be 1 or 3 positive sizes"),
+        ({"builtin": "mlp-1x8", "classes": 4}, "served config.model: missing key 'input_shape'"),
+        ({"builtin": 8, "input_shape": [16], "classes": 4},
+         "served config.model.builtin must be a string"),
+        ({"builtin": "mlp-1x8", "input_shape": [16], "classes": 4, "depth": 2},
+         "served config.model: unknown key 'depth'"),
+    ])
+    def test_served_builtin_model_is_checked(self, model, message, tmp_path):
+        doc = {"model": model, "layers": [], "weights_file": "weights.bin"}
+        with pytest.raises(ConfigError, match=message):
+            load_served(doc, tmp_path / "weights.bin")
+
     def test_arch_choice_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="width multiplier"):
             ArchChoice(resolve_format("INT8"), 0.0)

@@ -641,3 +641,127 @@ class TestLayerKernels:
         dx, _ = pool.backward(np.array([[[[3.0, 7.0]]]]), cache)
         assert np.array_equal(dx, [[[[3.0, 0.0, 0.0, 7.0],
                                      [0.0, 0.0, 0.0, 0.0]]]])
+
+
+class TestInferenceForward:
+    """forward(train=False) keeps no backward state and gives the training forward's bits."""
+
+    # the bench nas-fp layout: depthwise-separable, kernel options on dw2, widths on pw1
+    DS_NET = {
+        "name": "ds-net", "input_shape": [1, 28, 28], "classes": 10,
+        "layers": [
+            {"type": "conv", "name": "stem", "out_channels": 8, "kernel": 3},
+            {"type": "relu"}, {"type": "maxpool", "size": 2},
+            {"type": "depthwise_conv", "name": "dw1", "kernel": 3}, {"type": "relu"},
+            {"type": "conv", "name": "pw1", "out_channels": 16, "kernel": 1,
+             "width_options": [0.5, 0.75]},
+            {"type": "relu"}, {"type": "maxpool", "size": 2},
+            {"type": "depthwise_conv", "name": "dw2", "kernel": 3, "kernel_options": [3, 5]},
+            {"type": "relu"}, {"type": "flatten"},
+            {"type": "dense", "name": "fc1", "out_features": 64}, {"type": "relu"},
+            {"type": "dense", "name": "fc", "out_features": 10},
+        ],
+    }
+    SPACES = {"int": ("INT4", "INT8", "BF16"), "fp": ("E2M1", "E4M3", "BF16")}
+    PHASES = (QuantPhase(), QuantPhase(True, False), QuantPhase(True, True))
+
+    @classmethod
+    def _case(cls, model):
+        """(net with nonzero biases, images with many tied pixels, labels, width and kernel)."""
+        rng = np.random.default_rng(4)
+        if model == "mlp-2x16":
+            net = build_model(model, seed=2)
+            x, labels = _two_blob_batch(n=16)
+            shape = {}
+        else:
+            net = build_model(cls.DS_NET if model == "ds-net" else model, seed=2)
+            # three pixel levels: max-pool windows tie from the first layer on
+            x = rng.integers(0, 3, size=(8, 1, 28, 28)) / 2.0
+            labels = rng.integers(0, 10, size=8)
+            shape = {"pw1": (0.5, None), "dw2": (1.0, 5)}
+        for params in net.parameters().values():
+            params["b"][...] = rng.normal(scale=0.1, size=params["b"].shape)
+        return net, x, labels, shape
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("model", ["cnn-small", "ds-net", "mlp-2x16"])
+    def test_logits_match_the_training_forward(self, model, space):
+        net, x, labels, shape = self._case(model)
+        fmts = self.SPACES[space]
+        table = profile_thresholds(net, [(x, labels)], fmts, n_batches=1)
+        for fmt in fmts:
+            archs = {l.name: arch_for(fmt, *shape.get(l.name, (1.0, None)))
+                     for l in net.searchable_layers()}
+            for phase in self.PHASES:
+                want, cache = forward(net, x, archs, phase, table)
+                got, none = forward(net, x, archs, phase, table, train=False)
+                assert cache is not None and none is None
+                assert got.tobytes() == want.tobytes(), (fmt, phase)
+
+    def test_maxpool_ties_give_the_first_max_bits(self):
+        rng = np.random.default_rng(3)
+        pool = MaxPool2D("p", 2)
+        for x in (rng.integers(0, 3, size=(2, 3, 6, 6)) / 2.0,
+                  np.zeros((1, 2, 4, 4)),
+                  np.transpose(rng.integers(-2, 3, size=(2, 6, 6, 3)), (0, 3, 1, 2)) * 0.25):
+            want, _ = pool.forward(x)
+            got, none = pool.forward(x, train=False)
+            assert none is None and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_layers_build_no_cache(self):
+        net, x, labels, _ = self._case("cnn-small")
+        int4 = resolve_format("INT4")
+        table = profile_thresholds(net, [(x, labels)], [int4], n_batches=1)
+        for layer in net.layers:
+            if layer.is_compute:
+                quant = Quantizer(int4, table.weight_threshold(layer.name, int4))
+                y, cache = layer.forward(x, arch_for(int4), quant, train=False)
+            elif layer.kind == "relu":
+                quant = Quantizer(int4, table.act_threshold(layer.owner, int4))
+                y, cache = layer.forward(x, quant, train=False)
+            elif layer.kind == "maxpool":
+                y, cache = layer.forward(x, train=False)
+            else:
+                y, cache = layer.forward(x)[0], None
+            assert cache is None, layer.name
+            x = y
+        w = net.layers[0].weights[3]
+        assert fake_quant(w, Quantizer(int4, 0.1), train=False)[1] is None
+        assert fake_quant(w, Quantizer(int4, 0.1))[1] is not None
+
+
+class TestInputsUnchanged:
+    """Kernels write only into arrays they allocated: inputs and masters stay as they were."""
+
+    NET = {
+        "name": "pool-first", "input_shape": [2, 8, 8], "classes": 3,
+        # max pooling and a ReLU meet the caller's array first
+        "layers": [
+            {"type": "maxpool", "size": 2}, {"type": "relu"},
+            {"type": "conv", "name": "c1", "out_channels": 4, "kernel": 3,
+             "width_options": [0.5]},
+            {"type": "relu"}, {"type": "depthwise_conv", "name": "dw", "kernel": 3},
+            {"type": "relu"}, {"type": "flatten"},
+            {"type": "dense", "name": "fc", "out_features": 3, "width_options": [0.5]},
+        ],
+    }
+
+    @pytest.mark.parametrize("fmt", ["INT4", "E4M3", "BF16"])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_quantized_forward_leaves_input_and_masters(self, fmt, train):
+        net = build_model(self.NET, seed=1)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(4, 2, 8, 8))
+        labels = rng.integers(0, 3, size=4)
+        table = profile_thresholds(net, [(x, labels)], [fmt], n_batches=1)
+        archs = {l.name: arch_for(fmt, 0.5 if l.width_options else 1.0)
+                 for l in net.searchable_layers()}
+        masters = {f"{l}/{k}": a.copy() for l, p in net.parameters().items()
+                   for k, a in p.items()}
+        x_before = x.copy()
+        forward(net, x, archs, QuantPhase(True, True), table, train=train)
+        assert x.tobytes() == x_before.tobytes()
+        for l, p in net.parameters().items():
+            for k, a in p.items():
+                assert a.tobytes() == masters[f"{l}/{k}"].tobytes(), (l, k)

@@ -255,3 +255,41 @@ def test_enumeration_limit_matches_oracle_surface():
     for fmt in ORACLE_FORMATS:
         assert total_bitwidth(fmt) <= ENUMERATION_BIT_LIMIT
         representable_values(fmt)
+
+
+class TestInPlaceSafety:
+    """quantize rounds its own copy: the input is never written and never returned."""
+
+    FORMATS = [("INT4", 0.8), ("INT8", 0.8), ("E2M1", 0.8), ("E4M3", 0.8), ("BF16", None)]
+
+    @pytest.mark.parametrize("fmt,t", FORMATS)
+    def test_arrays_unchanged(self, fmt, t):
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(6, 10))
+        for x in (base, base[:, ::3], base.T, np.array([-0.0, 0.0, 0.3, -2.0])):
+            before = x.copy()
+            q = quantize(x, fmt, t)
+            assert x.tobytes() == before.tobytes()
+            assert q.shape == x.shape and not np.shares_memory(q, x)
+            assert np.array_equal(q, quantize(before, fmt, t))
+        if fmt == "BF16":
+            x = base.copy()
+            bf16_round(x)
+            assert x.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("fmt,t", FORMATS)
+    def test_scalars_give_0d_arrays(self, fmt, t):
+        for x in (0.3, np.float64(-0.3), np.array(0.3), -0.0):
+            x_before = np.array(x)
+            q = quantize(x, fmt, t)
+            assert isinstance(q, np.ndarray) and q.shape == ()
+            assert np.array(x).tobytes() == x_before.tobytes()
+            assert q.item() == quantize(np.array([x]), fmt, t)[0]
+        assert bf16_round(0.3).shape == ()
+
+    def test_0d_array_input_not_written(self):
+        x = np.array(0.3)
+        quantize(x, "INT4", 1.0)
+        quantize(x, "E4M3", 1.0)
+        quantize(x, "BF16")
+        assert x.item() == 0.3

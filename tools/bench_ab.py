@@ -8,10 +8,12 @@ sides are measured by the same harness.  Runs alternate within one session:
 each pair runs one seed on both sides, and the side that goes first swaps
 from pair to pair, so drift of the host's speed hits both sides alike.
 
-Writes `BENCH_<label>.json` at the root of this tree: every run's metrics,
-per-side medians and interquartile ranges, the machine record, and a flag
-for every end-to-end metric of BENCHMARK.json whose median on this tree is
-more than 10% worse than the base's.  Exits 1 when a metric is flagged or a
+Writes `BENCH_<label>.json` at the root of this tree: every run's metrics
+and resource use (minor page faults and user/system CPU seconds, the
+`RUSAGE_CHILDREN` delta around the run), per-side medians and interquartile
+ranges, the machine record, and a flag for every end-to-end metric of
+BENCHMARK.json whose median on this tree is more than 10% worse than the
+base's.  Exits 1 when a metric is flagged or a
 run fails its checks.  Only the standard library is used.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -29,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAG_PCT = 10.0
+RUSAGE = ("minor_faults", "minor_faults_per_step", "user_s", "sys_s")
 
 
 def log(msg: str) -> None:
@@ -53,10 +57,13 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_once(side_root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `bench/run.py --trace 0` run from side_root; its result line and machine record."""
+    """One `bench/run.py --trace 0` run from side_root: its result line, resource use
+    and machine record."""
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=side_root, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0 or not proc.stdout.strip():
         tail = proc.stderr.strip().splitlines()[-5:]
         raise SystemExit(f"{' '.join(cmd)} in {side_root} exited {proc.returncode}: "
@@ -66,9 +73,16 @@ def run_once(side_root: Path, workload: str, seed: int, seconds: float) -> dict:
     for line in proc.stderr.splitlines():
         if line.startswith("machine: "):
             machine = json.loads(line[len("machine: "):])
+    faults = after.ru_minflt - before.ru_minflt
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            # a side that is faster fits more rounds into the run, so faults
+            # are also given per attempted search step
+            "rusage": {"minor_faults": faults,
+                       "minor_faults_per_step": faults / result["attempted"],
+                       "user_s": after.ru_utime - before.ru_utime,
+                       "sys_s": after.ru_stime - before.ru_stime},
             "machine": machine}
 
 
@@ -98,6 +112,15 @@ def summarize(runs: list[dict], spec: dict) -> tuple[dict, list[str]]:
                              f"than base ({sides['change']['median']:.4g} against "
                              f"{sides['base']['median']:.4g} {metric['unit']})")
     return summary, flags
+
+
+def summarize_rusage(runs: list[dict]) -> dict:
+    """Per workload and resource counter: each side's spread; nothing is flagged."""
+    return {wl: {name: {side: spread([r["rusage"][name] for r in runs
+                                      if r["workload"] == wl and r["side"] == side])
+                        for side in ("base", "change")}
+                 for name in RUSAGE}
+            for wl in sorted({r["workload"] for r in runs})}
 
 
 def main(argv=None) -> int:
@@ -150,6 +173,8 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(n=4, method='inclusive') over one side's runs",
             "flag": f"an end-to-end metric whose change median is more than {FLAG_PCT:g}% "
                     "worse than the base median",
+            "rusage": "resource.getrusage(RUSAGE_CHILDREN) before and after each run; "
+                      "minor_faults_per_step divides by the run's attempted search steps",
             "session": f"{started} to {finished}",
         },
         "machine": machines[0],
@@ -157,6 +182,7 @@ def main(argv=None) -> int:
         "correct": correct,
         "flags": flags,
         "summary": summary,
+        "rusage_summary": summarize_rusage(runs),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
@@ -167,6 +193,10 @@ def main(argv=None) -> int:
             log(f"{wl:10s} {name:20s} base {s['base']['median']:10.4g} "
                 f"change {s['change']['median']:10.4g}  worse {s['worse_pct']:+6.1f}%"
                 f"{'  FLAGGED' if s['flagged'] else ''}")
+    for wl, counters in doc["rusage_summary"].items():
+        for name, s in counters.items():
+            log(f"{wl:10s} {name:20s} base {s['base']['median']:10.4g} "
+                f"change {s['change']['median']:10.4g}")
     for f in flags:
         log(f"flag: {f}")
     if not correct:
