@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -469,9 +470,13 @@ def cmd_analyze(args) -> int:
     schema, handler = _STUDIES[kind]
     study = _convert(doc, schema, "analyze config")
     out_dir = _make_run_dir(_output_root(args), "analyze", getattr(study, "seed", 0))
-    _write_json(out_dir / "resolved_config.json", dict(doc, command="analyze"))
+    try:
+        _write_json(out_dir / "resolved_config.json", dict(doc, command="analyze"))
+        summary = handler(study, out_dir)
+    except BaseException:
+        shutil.rmtree(out_dir)  # a study that did not finish leaves no run directory
+        raise
     print(f"run dir: {out_dir}")
-    summary = handler(study, out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

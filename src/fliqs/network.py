@@ -19,23 +19,32 @@ state.  A ThresholdTable keeps one weight threshold per layer (its max |w|,
 refreshed every step) and one activation threshold per (layer, format),
 profiled once before training.
 
-Convolutions run on BLAS: im2col is one copy of a strided view, laid out
-for the conv as (n, h*w, c*k*k) rows that the forward `tensordot` and the
-weight-gradient `tensordot` both read without a further copy; the backward
-adds a batched `matmul`, and the depthwise weight gradient is a batched
-`matmul`.  Two rules hold results fixed.
-The forward summation order (conv `tensordot` operand order, depthwise
-`einsum`) must not change: under activation quantization some outputs cancel
-to exactly 0.0, and another order leaves +-1e-17 that flips the ReLU mask.
-Max pooling sends each window's gradient to its first maximum in row-major
-order, since quantized activations tie often.  `python3 bench/run.py
---workload desk-int --trace 1` prints the time of each layer.
+Convolutions run on BLAS: im2col is one copy of a strided view.  The conv
+lays it out as (c*k*k, n*h*w): each row is one shifted input plane, copied
+in runs of w elements, and the forward GEMM (patches^T @ weights^T) and the
+weight-gradient GEMM (dy^T @ patches^T) both read its transpose without a
+further copy.  The backward adds a batched `matmul` for the patch gradient,
+and the depthwise weight gradient is a batched `matmul`.  Two rules hold
+results fixed.  The forward summation order (the conv GEMM's operand order
+and its c*k*k reduction order, the depthwise `einsum`) must not change:
+under activation quantization some outputs cancel to exactly 0.0, and
+another order leaves +-1e-17 that flips the ReLU mask.  Max pooling sends
+each window's gradient to its first maximum in row-major order, since
+quantized activations tie often.  `python3 bench/run.py --workload desk-int
+--trace 1` prints the time of each layer.
 
 `forward(..., train=False)` is the inference mode of validation and
 serving: no STE or ReLU masks, no max-pool winners, no caches, and the same
-logits bit for bit.  Kernels write only into arrays they allocated
-themselves (the bias add and width mask go into the layer's fresh output,
-quantize rounds its own clipped copy); an input may be the caller's array.
+logits bit for bit.  It runs each ReLU -> MaxPool2D pair pool first, so the
+ReLU and its activation quantizer see a quarter of the elements.  That is
+exact: max pooling commutes with any non-decreasing elementwise map, and
+ReLU and every quantizer are non-decreasing (ReLU also turns -0.0 into
++0.0 in either order).  Training keeps ReLU then pool, because its backward
+sends each window's gradient to the first maximum of the *quantized*
+values, and quantization ties make that differ from the raw maximum.
+Kernels write only into arrays they allocated themselves (the bias add and
+width mask go into the layer's fresh output, quantize rounds its own
+clipped copy); an input may be the caller's array.
 
 Master weights stay in float64; quantization only shapes the forward views.
 Biases are not quantized (they ride in the accumulator).
@@ -367,18 +376,20 @@ class Conv2D(BranchedConv):
         return self.in_channels * k * k
 
     def _branch_forward(self, x, k, wq):
-        n, _, h, w = x.shape
-        # patches as (n, h*w, c*k*k) rows: both GEMMs read them as they lie, with no copy
-        cols = np.ascontiguousarray(_windows(x, k).transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(n, h * w, self.in_channels * k * k)
-        y = np.tensordot(cols, wq.reshape(self.out_channels, -1), axes=([2], [1]))
-        return y.transpose(0, 2, 1).reshape(n, self.out_channels, h, w), cols
+        n, c, h, w = x.shape
+        # patches as (c*k*k, n*h*w): each row is one shifted input plane, copied
+        # in runs of w; both GEMMs read the transposed view with no further copy
+        cols = np.ascontiguousarray(_windows(x, k).transpose(1, 4, 5, 0, 2, 3))
+        cols = cols.reshape(c * k * k, n * h * w)
+        y = np.dot(cols.T, wq.reshape(self.out_channels, -1).T)
+        return y.reshape(n, h, w, self.out_channels).transpose(0, 3, 1, 2), cols
 
     def _branch_backward(self, dy, wq, cols, x_shape):
         n, c, h, w = x_shape
         k = wq.shape[-1]
+        dy_t = dy.transpose(1, 0, 2, 3).reshape(self.out_channels, n * h * w)
+        dW = np.dot(dy_t, cols.T).reshape(wq.shape)
         dy_mat = dy.reshape(n, self.out_channels, h * w)
-        dW = np.tensordot(dy_mat, cols, axes=([0, 2], [0, 1])).reshape(wq.shape)
         w_mat = wq.reshape(self.out_channels, -1)
         dcols = np.matmul(w_mat.T, dy_mat).reshape(n, c, k, k, h, w)
         return dW, _col2im(lambda i, j: dcols[:, :, i, j], x_shape, k)
@@ -746,17 +757,26 @@ def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
     this is a plain float forward and archs may be omitted entirely.  Each
     compute layer gets its weight quantizer and each ReLU its owner's
     activation quantizer from here.  With train False (validation and
-    serving) no layer builds backward state and the result is (logits, None);
-    the logits are the same bits as with train True.
+    serving) no layer builds backward state, each ReLU -> MaxPool2D pair runs
+    pool first, and the result is (logits, None); the logits are the same
+    bits as with train True.
     """
     phase = phase or QuantPhase()
     quant_on = phase.weight_quant or phase.act_quant
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != tuple(net.input_shape):
         raise DomainError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
+    layers = net.layers
+    # inference runs each ReLU -> MaxPool2D pair pool first: these pools, by index
+    pooled_early = set() if train else {
+        i + 1 for i, (a, b) in enumerate(zip(layers, layers[1:]))
+        if isinstance(a, ReLU) and isinstance(b, MaxPool2D)
+    }
     caches = []
     chosen: dict[str, ArchChoice] = {}
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(layers):
+        if i in pooled_early:
+            continue
         quant = None
         if layer.is_compute:
             arch = _arch_for_layer(layer, archs) if quant_on or archs else _FLOAT_ARCH
@@ -767,6 +787,8 @@ def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
         elif isinstance(layer, ReLU):
             if phase.act_quant and layer.owner is not None:
                 quant = _quantizer(thresholds, layer.owner, chosen[layer.owner].fmt, "activation")
+            if i + 1 in pooled_early:  # x is finite, so the pooled x is too
+                x, _ = layers[i + 1].forward(x, False)
             y, cache = layer.forward(x, quant, train)
         elif isinstance(layer, MaxPool2D):
             y, cache = layer.forward(x, train)

@@ -396,8 +396,12 @@ class TestAnalyzeCommand:
             (run / name).write_text(json.dumps(doc))
         cfg = _write_config(tmp_path / "a.json", {"kind": "entropy", "run_dir": str(run)})
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and message in err[0]
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        # a failed study leaves no run directory behind, and names none
+        assert "run dir:" not in captured.out
+        assert not list((tmp_path / "out").glob("analyze-*"))
 
     @pytest.mark.parametrize("row", ["x,1.0,0.1", "2.5,1.0,0.1", "1,high,0.1", "1,1.0,",
                                      "1,1.0"])
@@ -415,6 +419,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "trace.csv: line 3" in err[0]
+        assert not list((tmp_path / "out").glob("analyze-*"))
 
     def test_entropy_trace_without_column_exits_2(self, capsys, tmp_path):
         run = tmp_path / "run"

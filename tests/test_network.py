@@ -12,6 +12,7 @@ from fliqs.network import (
     MaxPool2D,
     QuantPhase,
     Quantizer,
+    ReLU,
     SGDState,
     ThresholdTable,
     accuracy,
@@ -576,6 +577,15 @@ class TestLayerKernels:
         {"type": "flatten"},
         {"type": "dense", "name": "fc", "out_features": 3},
     ]
+    # a conv with kernel search: 3 input channels, the k=5 branch and the joint average
+    CONV_KB_NET = [
+        {"type": "conv", "name": "c0", "out_channels": 3, "kernel": 1},
+        {"type": "conv", "name": "c1", "out_channels": 4, "kernel": 3, "kernel_options": [3, 5]},
+        {"type": "relu"},
+        {"type": "maxpool", "size": 2},
+        {"type": "flatten"},
+        {"type": "dense", "name": "fc", "out_features": 3},
+    ]
     SETTINGS = [("BF16", False, False), ("INT4", True, False), ("E2M1", True, False),
                 ("INT4", True, True), ("E2M1", True, True)]
 
@@ -589,6 +599,8 @@ class TestLayerKernels:
         ("DW_NET", None, True),
         ("DW_NET", 3, False),
         ("DW_NET", 5, False),
+        ("CONV_KB_NET", 5, False),
+        ("CONV_KB_NET", None, True),
     ])
     def test_matches_loop_reference(self, layers, kernel, joint, fmt, weight_quant,
                                     act_quant):
@@ -598,7 +610,7 @@ class TestLayerKernels:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(4, 2, 6, 6))
         labels = rng.integers(0, 3, size=4)
-        archs = {l.name: arch_for(fmt, kernel=kernel if l.kind == "depthwise_conv" else None)
+        archs = {l.name: arch_for(fmt, kernel=kernel if l.kernel_options else None)
                  for l in net.compute_layers()}
         table = ThresholdTable()
         limits = {}
@@ -729,6 +741,63 @@ class TestInferenceForward:
         w = net.layers[0].weights[3]
         assert fake_quant(w, Quantizer(int4, 0.1), train=False)[1] is None
         assert fake_quant(w, Quantizer(int4, 0.1))[1] is not None
+
+
+class TestPooledOrder:
+    """Inference runs each ReLU -> MaxPool2D pair pool first; training keeps ReLU then pool.
+
+    Max pooling commutes with ReLU and every quantizer (all non-decreasing), so
+    TestInferenceForward's byte checks cover the values; this checks what runs.
+    """
+
+    @staticmethod
+    def _calls(net, x, train, monkeypatch):
+        """[(layer name, input shape)] of every ReLU and MaxPool2D forward, in call order."""
+        calls = []
+        for cls in (ReLU, MaxPool2D):
+            def spy(self, x, *args, _orig=cls.forward, **kwargs):
+                calls.append((self.name, x.shape))
+                return _orig(self, x, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", spy)
+        fmt = resolve_format("INT4")
+        table = profile_thresholds(net, [(x, np.zeros(len(x), dtype=int))], [fmt], n_batches=1)
+        archs = {l.name: arch_for(fmt) for l in net.searchable_layers()}
+        calls.clear()  # profiling runs a training forward of its own
+        forward(net, x, archs, QuantPhase(True, True), table, train=train)
+        return calls
+
+    @staticmethod
+    def _pairs(net):
+        """(ReLU, MaxPool2D) layers that follow one another directly."""
+        layers = net.layers
+        return [(a, b) for a, b in zip(layers, layers[1:])
+                if a.kind == "relu" and b.kind == "maxpool"]
+
+    @pytest.mark.parametrize("model", ["cnn-small", "ds-net"])
+    def test_inference_pools_before_the_relu(self, model, monkeypatch):
+        net, x, _, _ = TestInferenceForward._case(model)
+        in_shape = dict(self._calls(net, x, True, monkeypatch))
+        calls = self._calls(net, x, False, monkeypatch)
+        names = [name for name, _ in calls]
+        pairs = self._pairs(net)
+        assert len(pairs) == 2
+        for relu, pool in pairs:
+            n, c, h, w = in_shape[relu.name]
+            assert names.count(pool.name) == 1 and names.count(relu.name) == 1
+            assert names.index(pool.name) < names.index(relu.name)
+            assert dict(calls)[pool.name] == (n, c, h, w)
+            assert dict(calls)[relu.name] == (n, c, h // pool.size, w // pool.size)
+        lone = [l.name for l in net.layers if l.kind == "relu" and l not in dict(pairs)]
+        assert lone and all(dict(calls)[name] == in_shape[name] for name in lone)
+
+    @pytest.mark.parametrize("model", ["cnn-small", "ds-net"])
+    def test_training_keeps_relu_then_pool(self, model, monkeypatch):
+        net, x, _, _ = TestInferenceForward._case(model)
+        calls = self._calls(net, x, True, monkeypatch)
+        assert [name for name, _ in calls] == [l.name for l in net.layers
+                                              if l.kind in ("relu", "maxpool")]
+        for relu, pool in self._pairs(net):
+            assert dict(calls)[pool.name] == dict(calls)[relu.name]
 
 
 class TestInputsUnchanged:
