@@ -2,7 +2,8 @@
 
 IDX is the big-endian format used by the classic digit corpora: a u32 magic
 (0x00000803 for image tensors, 0x00000801 for label vectors), u32 dimension
-sizes, then a raw u8 payload.  Images load as [N, 1, H, W] scaled to [0, 1].
+sizes, then a raw u8 payload.  Images load as [N, 1, H, W] pixel bytes, one
+byte each; `Dataset.images_at` scales them to [0, 1] as a batch is taken.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """Supervised dataset: images [N, C, H, W] in [0, 1] and integer labels [N]."""
+    """Supervised dataset: images [N, C, H, W] and integer labels [N].
+
+    `images` holds either float64 values in [0, 1] or uint8 pixel bytes
+    (what load_idx keeps: one byte per pixel instead of eight).  Read images
+    through `images_at`, which gives float64 in [0, 1] either way.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -29,7 +35,9 @@ class Dataset:
     source: str = "memory"
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        self.images = np.asarray(self.images)
+        if self.images.dtype != np.uint8:
+            self.images = self.images.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
             raise DataError(f"images must be [N, C, H, W], got shape {self.images.shape}")
@@ -44,6 +52,17 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
+
+    def images_at(self, idx=slice(None)) -> np.ndarray:
+        """Float64 images in [0, 1] at `idx` (any numpy index along the first axis).
+
+        Pixel bytes become `pixels / 255.0`: the cast to float64 is exact, so
+        that one division is the only rounding, and this is the one place
+        the pixel scale is decided.  The result is a new array or, for a
+        float dataset indexed by a slice, a view.
+        """
+        x = self.images[idx]
+        return x / 255.0 if x.dtype == np.uint8 else x
 
     def subset(self, n: int) -> "Dataset":
         if n > len(self):
@@ -62,9 +81,12 @@ def load_idx(images_path, labels_path, limit: int | None = None,
              classes: int | None = None) -> Dataset:
     """Load an IDX image/label file pair.
 
-    Pixel bytes scale to [0, 1] by division with 255.  limit truncates to the
-    first `limit` examples after validation.
+    Pixels stay uint8 bytes; `Dataset.images_at` scales them to [0, 1] by
+    division with 255.  limit (at least 1) truncates to the first `limit`
+    examples after validation.
     """
+    if limit is not None and limit < 1:
+        raise DataError(f"limit must be >= 1, got {limit}")
     images_path, labels_path = str(images_path), str(labels_path)
     img_buf = Path(images_path).read_bytes()
     (magic,) = _read_u32s(img_buf, 1, 0, images_path)
@@ -100,8 +122,7 @@ def load_idx(images_path, labels_path, limit: int | None = None,
     labels = np.frombuffer(lab_buf, dtype=np.uint8, offset=8).astype(np.int64)
 
     n_classes = classes if classes is not None else int(labels.max()) + 1 if n else 2
-    ds = Dataset(images.astype(np.float64) / 255.0, labels, n_classes,
-                 source=f"idx:{images_path}")
+    ds = Dataset(images, labels, n_classes, source=f"idx:{images_path}")
     if limit is not None:
         ds = ds.subset(limit)
     return ds
@@ -113,7 +134,7 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
     Datasets whose pixel values lie on the k/255 grid round-trip bit-exactly
     through load_idx.
     """
-    imgs = dataset.images
+    imgs = dataset.images_at()
     if imgs.shape[1] != 1:
         raise DataError(f"IDX stores single-channel images, got {imgs.shape[1]} channels")
     n, _, h, w = imgs.shape
@@ -187,7 +208,7 @@ def _split_indices(n: int, plan: BatchPlan) -> tuple[np.ndarray, np.ndarray]:
 
 def validation_set(dataset: Dataset, plan: BatchPlan) -> tuple[np.ndarray, np.ndarray]:
     _, val_idx = _split_indices(len(dataset), plan)
-    return dataset.images[val_idx], dataset.labels[val_idx]
+    return dataset.images_at(val_idx), dataset.labels[val_idx]
 
 
 def batches(dataset: Dataset, plan: BatchPlan, epoch: int):
@@ -209,7 +230,7 @@ def batches(dataset: Dataset, plan: BatchPlan, epoch: int):
     n_batches = len(order) // plan.batch_size
     for b in range(n_batches):
         sel = order[b * plan.batch_size : (b + 1) * plan.batch_size]
-        yield dataset.images[sel], dataset.labels[sel]
+        yield dataset.images_at(sel), dataset.labels[sel]
 
 
 def batch_stream(dataset: Dataset, plan: BatchPlan):

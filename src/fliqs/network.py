@@ -189,6 +189,9 @@ class ComputeLayer(Layer):
     `quant` is the weight quantizer (None when weights stay float),
     `joint_branches` asks a kernel-search layer to average all its branches,
     and with `train` off the layer returns (y, None), building no cache.
+    `backward(dy, cache, input_grad)` with `input_grad` off returns
+    (None, grads): the network's first compute layer has no one to pass an
+    input gradient to.
     """
 
     is_compute = True
@@ -258,13 +261,13 @@ class Dense(ComputeLayer):
             y *= mask
         return y, DenseCache(x, wq, ste, mask) if train else None
 
-    def backward(self, dy, cache: DenseCache):
+    def backward(self, dy, cache: DenseCache, input_grad: bool = True):
         if cache.mask is not None:
             dy = dy * cache.mask
         dW = dy.T @ cache.x
         if cache.ste is not None:
             dW = dW * cache.ste
-        return dy @ cache.wq, {"W": dW, "b": dy.sum(axis=0)}
+        return dy @ cache.wq if input_grad else None, {"W": dW, "b": dy.sum(axis=0)}
 
 
 def _windows(x, k):
@@ -345,19 +348,20 @@ class BranchedConv(ComputeLayer):
             y *= mask[None, :, None, None]
         return y, BranchCache(x.shape, saved, mask) if train else None
 
-    def backward(self, dy, cache: BranchCache):
+    def backward(self, dy, cache: BranchCache, input_grad: bool = True):
         if cache.mask is not None:
             dy = dy * cache.mask[None, :, None, None]
         share = 1.0 / len(cache.branches)
-        dx = np.zeros(cache.x_shape)
+        dx = np.zeros(cache.x_shape) if input_grad else None
         grads = {"b": dy.sum(axis=(0, 2, 3))}
         for k, (wq, ste, cols) in cache.branches.items():
-            dW, dx_k = self._branch_backward(dy, wq, cols, cache.x_shape)
+            dW, dx_k = self._branch_backward(dy, wq, cols, cache.x_shape, input_grad)
             dW = dW * share
             if ste is not None:
                 dW = dW * ste
             grads[f"W{k}"] = dW
-            dx += dx_k * share
+            if input_grad:
+                dx += dx_k * share
         return dx, grads
 
 
@@ -384,11 +388,13 @@ class Conv2D(BranchedConv):
         y = np.dot(cols.T, wq.reshape(self.out_channels, -1).T)
         return y.reshape(n, h, w, self.out_channels).transpose(0, 3, 1, 2), cols
 
-    def _branch_backward(self, dy, wq, cols, x_shape):
+    def _branch_backward(self, dy, wq, cols, x_shape, input_grad):
         n, c, h, w = x_shape
         k = wq.shape[-1]
         dy_t = dy.transpose(1, 0, 2, 3).reshape(self.out_channels, n * h * w)
         dW = np.dot(dy_t, cols.T).reshape(wq.shape)
+        if not input_grad:
+            return dW, None
         dy_mat = dy.reshape(n, self.out_channels, h * w)
         w_mat = wq.reshape(self.out_channels, -1)
         dcols = np.matmul(w_mat.T, dy_mat).reshape(n, c, k, k, h, w)
@@ -419,10 +425,12 @@ class DepthwiseConv2D(BranchedConv):
         y = np.einsum("ncijl,cij->ncl", cols.reshape(n, c, k, k, h * w), wq)
         return y.reshape(n, c, h, w), cols
 
-    def _branch_backward(self, dy, wq, cols, x_shape):
+    def _branch_backward(self, dy, wq, cols, x_shape, input_grad):
         n, c, h, w = x_shape
         k = wq.shape[-1]
         dW = np.matmul(cols.reshape(n, c, k * k, h * w), dy.reshape(n, c, h * w, 1)).sum(axis=0)
+        if not input_grad:
+            return dW.reshape(wq.shape), None
         # the input gradient is the outer product dy * w: add it one tap at a time
         dx = _col2im(lambda i, j: dy * wq[None, :, i, j, None, None], x_shape, k)
         return dW.reshape(wq.shape), dx
@@ -826,10 +834,17 @@ def backward(net: Network, cache: ForwardCache, labels):
     p[np.arange(n), labels] -= 1.0
     dy = p / n
     grads: dict[str, dict[str, np.ndarray]] = {}
-    for layer, layer_cache in zip(reversed(net.layers), reversed(cache.layers)):
-        dy, g = layer.backward(dy, layer_cache)
+    layers = net.layers
+    # no layer below the first compute layer has parameters, and that layer's
+    # input gradient would go nowhere: it is asked for weight gradients only
+    first = next((i for i, l in enumerate(layers) if l.is_compute), len(layers))
+    for i in range(len(layers) - 1, first, -1):
+        dy, g = layers[i].backward(dy, cache.layers[i])
         if g:
-            grads[layer.name] = g
+            grads[layers[i].name] = g
+    if first < len(layers):
+        _, grads[layers[first].name] = layers[first].backward(dy, cache.layers[first],
+                                                              input_grad=False)
     return grads
 
 
@@ -858,6 +873,20 @@ def sgd_step(net: Network, grads, state: SGDState, lr: float,
             w -= lr * v
 
 
+def _activation_sums(net: Network, images) -> list[tuple[str, float, float, int]]:
+    """(owner, sum, sum of squares, count) of one batch's raw activations per quant point.
+
+    The batch's forward cache dies on return, before the next batch's forward.
+    """
+    _, cache = forward(net, images)
+    sums = []
+    for layer, layer_cache in zip(net.layers, cache.layers):
+        if isinstance(layer, ReLU) and layer.owner is not None:
+            a = layer_cache.pre_quant
+            sums.append((layer.owner, float(a.sum()), float((a * a).sum()), a.size))
+    return sums
+
+
 def collect_activation_stats(net: Network, batch_iter, n_batches: int):
     """Mean/std of each quant point's raw activations over calibration batches."""
     sums: dict[str, float] = {}
@@ -865,13 +894,10 @@ def collect_activation_stats(net: Network, batch_iter, n_batches: int):
     counts: dict[str, int] = {}
     taken = 0
     for images, _ in batch_iter:
-        _, cache = forward(net, images)
-        for layer, layer_cache in zip(net.layers, cache.layers):
-            if isinstance(layer, ReLU) and layer.owner is not None:
-                a = layer_cache.pre_quant
-                sums[layer.owner] = sums.get(layer.owner, 0.0) + float(a.sum())
-                sqs[layer.owner] = sqs.get(layer.owner, 0.0) + float((a * a).sum())
-                counts[layer.owner] = counts.get(layer.owner, 0) + a.size
+        for owner, s, sq, n in _activation_sums(net, images):
+            sums[owner] = sums.get(owner, 0.0) + s
+            sqs[owner] = sqs.get(owner, 0.0) + sq
+            counts[owner] = counts.get(owner, 0) + n
         taken += 1
         if taken >= n_batches:
             break

@@ -188,6 +188,8 @@ def _check_data(data) -> None:
         for key in ("images", "labels"):
             if key not in data:
                 raise ConfigError(f"data: missing key {key!r}")
+        limit = data.get("limit")
+        _require(limit is None or limit >= 1, "data.limit", ">= 1 or null", limit)
 
 
 # JSON kinds, named as the Python types json.loads gives; bool comes before
@@ -463,6 +465,20 @@ def _profile_formats(formats, net: Network):
     return list(fmts.values())
 
 
+def _train_step(net: Network, images, labels, archs, phase, thresholds, joint: bool,
+                sgd: SGDState, trainer: TrainerConfig) -> float:
+    """One SGD step on one batch; returns its loss.
+
+    The step's forward cache and gradients die on return, before the
+    validation forward and the next step's forward.
+    """
+    logits, cache = forward(net, images, archs, phase, thresholds, joint_branches=joint)
+    loss = cross_entropy(logits, labels)
+    grads = backward(net, cache, labels)
+    sgd_step(net, grads, sgd, trainer.lr, trainer.momentum, trainer.weight_decay)
+    return loss
+
+
 def _run(cfg: SearchConfig, mode: str, fixed):
     """Train and serve; `fixed` is a static run's archs or a uniform run's format."""
     ds = build_dataset(cfg.data, cfg.seed)
@@ -536,12 +552,8 @@ def _run(cfg: SearchConfig, mode: str, fixed):
             update_weight_thresholds(net, thresholds)
 
             images, labels = next(train_iter)
-            logits, cache = forward(net, images, archs, phase, thresholds,
-                                    joint_branches=joint)
-            loss = cross_entropy(logits, labels)
-            grads = backward(net, cache, labels)
-            sgd_step(net, grads, sgd, cfg.trainer.lr, cfg.trainer.momentum,
-                     cfg.trainer.weight_decay)
+            loss = _train_step(net, images, labels, archs, phase, thresholds, joint, sgd,
+                               cfg.trainer)
 
             vb_images, vb_labels = val_chunks[t % len(val_chunks)]
             vlogits, _ = forward(net, vb_images, archs, phase, thresholds, train=False)

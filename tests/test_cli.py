@@ -6,9 +6,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fliqs.cli import main
+from fliqs.data import Dataset, write_idx
 from fliqs.errors import DataError
 
 RUN_CONFIG = {
@@ -132,6 +134,19 @@ class TestSearchCommand:
         assert code == 2
         assert err.splitlines() == [
             "error: data.images: cannot read /nonexist.idx: No such file or directory"]
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_exits_2(self, capsys, tmp_path, limit):
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx(Dataset(np.zeros((10, 1, 2, 2)), np.arange(10) % 2, 2), images, labels)
+        doc = dict(RUN_CONFIG, data={"kind": "idx", "images": str(images),
+                                     "labels": str(labels), "limit": limit})
+        cfg = _write_config(tmp_path / "idx.json", doc)
+        code = main(["search", "--config", cfg, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config.data.limit must be >= 1 or null, got {limit}"]
+        assert not (tmp_path / "runs").exists()
 
     def test_zero_width_option_exits_2(self, capsys, tmp_path):
         model = {"name": "tiny", "input_shape": [1, 1, 12], "classes": 4, "layers": [

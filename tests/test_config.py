@@ -68,6 +68,10 @@ class TestReproducedDefects:
         ({"profile_batches": 0}, "config.profile_batches"),
         ({"cost_target_gbops": -1}, "config.cost_target_gbops"),
         ({"std_multiples": [[4, -1.0], [None, 4.0]]}, "config.std_multiples[0].multiple"),
+        ({"data": {"kind": "idx", "images": "i.idx", "labels": "l.idx", "limit": 0}},
+         "config.data.limit"),
+        ({"data": {"kind": "idx", "images": "i.idx", "labels": "l.idx", "limit": -3}},
+         "config.data.limit"),
     ])
     def test_rejected_naming_the_dotted_key(self, doc, key):
         with pytest.raises(ConfigError) as info:

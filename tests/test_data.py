@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fliqs.network as network
 from fliqs.data import (
     BatchPlan,
     Dataset,
@@ -12,6 +13,7 @@ from fliqs.data import (
     write_idx,
 )
 from fliqs.errors import DataError
+from fliqs.network import build_model, builtin_model_config, profile_thresholds
 
 
 def _write_pair(tmp_path, images, labels, classes=None):
@@ -33,7 +35,7 @@ class TestIdxFormat:
         ds = load_idx(ip, lp, classes=2)
         assert ds.images.shape == (1, 1, 2, 2)
         expect = np.array([[0.0, 128 / 255], [1.0, 64 / 255]])
-        assert np.array_equal(ds.images[0, 0], expect)
+        assert np.array_equal(ds.images_at()[0, 0], expect)
         assert ds.labels.tolist() == [1]
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -42,7 +44,7 @@ class TestIdxFormat:
         labels = rng.integers(0, 4, size=20)
         ip, lp = _write_pair(tmp_path, images, labels, classes=4)
         ds = load_idx(ip, lp, classes=4)
-        assert np.array_equal(ds.images, images)
+        assert np.array_equal(ds.images_at(), images)
         assert np.array_equal(ds.labels, labels)
 
     def test_wrong_image_magic(self, tmp_path):
@@ -82,7 +84,7 @@ class TestIdxFormat:
         ip, lp = _write_pair(tmp_path, images, labels, classes=2)
         ds = load_idx(ip, lp, limit=4, classes=2)
         assert len(ds) == 4
-        assert np.array_equal(ds.images, images[:4])
+        assert np.array_equal(ds.images_at(), images[:4])
 
     def test_classes_inferred_from_labels(self, tmp_path):
         images = np.zeros((6, 1, 2, 2))
@@ -94,6 +96,76 @@ class TestIdxFormat:
         ds = Dataset(np.zeros((2, 3, 4, 4)), np.zeros(2, dtype=int), 2)
         with pytest.raises(DataError, match="single-channel"):
             write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype == np.float64 and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+class TestPixelBytes:
+    """IDX pixels stay uint8; every float view of them is pixels / 255.0 in float64."""
+
+    @pytest.fixture
+    def idx_pair(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pixels = rng.integers(0, 256, size=(50, 1, 6, 5)).astype(np.uint8)
+        labels = rng.integers(0, 3, size=50)
+        ip, lp = _write_pair(tmp_path, pixels / 255.0, labels, classes=3)
+        return ip, lp, pixels, labels
+
+    def test_one_byte_per_pixel(self, idx_pair):
+        ip, lp, pixels, _ = idx_pair
+        ds = load_idx(ip, lp)
+        assert ds.images.dtype == np.uint8
+        assert ds.images.nbytes == 50 * 6 * 5
+        assert np.array_equal(ds.images, pixels)
+        assert load_idx(ip, lp, limit=7).images.nbytes == 7 * 6 * 5
+
+    def test_batches_are_pixels_over_255(self, idx_pair, monkeypatch):
+        ip, lp, pixels, labels = idx_pair
+        ds = load_idx(ip, lp)
+        ref = Dataset(pixels.astype(np.float64) / 255.0, labels, ds.classes)
+        plan = BatchPlan(batch_size=8, seed=4, validation_fraction=0.2)
+        for epoch in range(2):
+            for (x, y), (want_x, want_y) in zip(batches(ds, plan, epoch),
+                                                batches(ref, plan, epoch), strict=True):
+                assert _same_bits(x, want_x)
+                assert np.array_equal(y, want_y)
+        x, y = validation_set(ds, plan)
+        want_x, want_y = validation_set(ref, plan)
+        assert _same_bits(x, want_x) and np.array_equal(y, want_y)
+
+        # profiling sees the same bits: the inputs of its calibration forwards
+        seen = []
+        orig = network.forward
+
+        def spy(net, x, *args, **kwargs):
+            seen.append(np.array(x))
+            return orig(net, x, *args, **kwargs)
+
+        net = build_model(builtin_model_config("mlp-2x16", [1, 6, 5], 3), seed=0)
+        monkeypatch.setattr(network, "forward", spy)
+        for data in (ds, ref):
+            profile_thresholds(net, batches(data, plan, epoch=0), ["INT8"], n_batches=3)
+        assert len(seen) == 6
+        for got, want in zip(seen[:3], seen[3:]):
+            assert _same_bits(got, want)
+
+    def test_write_idx_round_trips_a_loaded_dataset(self, idx_pair, tmp_path):
+        ip, lp, _, _ = idx_pair
+        ds = load_idx(ip, lp)
+        ip2, lp2 = tmp_path / "again_i.idx", tmp_path / "again_l.idx"
+        write_idx(ds, ip2, lp2)
+        assert ip2.read_bytes() == ip.read_bytes()
+        assert lp2.read_bytes() == lp.read_bytes()
+        assert _same_bits(load_idx(ip2, lp2).images_at(), ds.images_at())
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_is_an_error(self, idx_pair, limit):
+        ip, lp, _, _ = idx_pair
+        with pytest.raises(DataError, match=f"^limit must be >= 1, got {limit}$"):
+            load_idx(ip, lp, limit=limit)
 
 
 class TestDatasetValidation:

@@ -10,6 +10,7 @@ from fliqs.formats import int_format, resolve_format
 from fliqs.network import (
     Dense,
     MaxPool2D,
+    Network,
     QuantPhase,
     Quantizer,
     ReLU,
@@ -798,6 +799,72 @@ class TestPooledOrder:
                                               if l.kind in ("relu", "maxpool")]
         for relu, pool in self._pairs(net):
             assert dict(calls)[pool.name] == dict(calls)[relu.name]
+
+
+class TestFirstLayerBackward:
+    """backward asks the first compute layer for weight gradients only; no gradient changes."""
+
+    @staticmethod
+    def _dense_first_case():
+        """An MLP with no flatten: its first layer is a dense layer."""
+        rng = np.random.default_rng(4)
+        net = Network("dense-first", [Dense("fc1", 16, 16), ReLU("relu1", owner="fc1"),
+                                      Dense("out", 16, 2)], (16,), 2)
+        for layer in net.layers:
+            layer.init(rng)
+            for array in layer.params().values():
+                array[...] += rng.normal(scale=0.1, size=array.shape)
+        x, labels = _two_blob_batch(n=16)
+        return net, x.reshape(16, 16), labels, {}
+
+    @staticmethod
+    def _every_layer_backward(net, cache, labels):
+        """The reference: every layer's backward, the first one's input gradient included."""
+        n = len(labels)
+        e = np.exp(cache.logits - cache.logits.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        p[np.arange(n), labels] -= 1.0
+        dy = p / n
+        grads = {}
+        for layer, layer_cache in zip(reversed(net.layers), reversed(cache.layers)):
+            dy, g = layer.backward(dy, layer_cache)
+            if g:
+                grads[layer.name] = g
+        return grads
+
+    @pytest.mark.parametrize("space", sorted(TestInferenceForward.SPACES))
+    @pytest.mark.parametrize("model,joint", [("cnn-small", False), ("ds-net", False),
+                                             ("ds-net", True), ("mlp-2x16", False),
+                                             ("dense-first", False)])
+    def test_gradients_keep_their_bytes(self, model, joint, space, monkeypatch):
+        if model == "dense-first":
+            net, x, labels, shape = self._dense_first_case()
+        else:
+            net, x, labels, shape = TestInferenceForward._case(model)
+        fmts = TestInferenceForward.SPACES[space]
+        table = profile_thresholds(net, [(x, labels)], fmts, n_batches=1)
+        asked = []
+        for cls in {type(l) for l in net.compute_layers()}:
+            def spy(self, dy, cache, input_grad=True, _orig=cls.backward):
+                asked.append((self.name, input_grad))
+                return _orig(self, dy, cache, input_grad)
+            monkeypatch.setattr(cls, "backward", spy)
+        first = net.compute_layers()[0].name
+        for fmt in fmts:
+            archs = {l.name: arch_for(fmt, *shape.get(l.name, (1.0, None)))
+                     for l in net.searchable_layers()}
+            for phase in TestInferenceForward.PHASES:
+                _, cache = forward(net, x, archs, phase, table, joint_branches=joint)
+                asked.clear()
+                got = backward(net, cache, labels)
+                assert asked[-1] == (first, False)
+                assert all(input_grad for _, input_grad in asked[:-1])
+                want = self._every_layer_backward(net, cache, labels)
+                assert list(got) == list(want)
+                for name, g in got.items():
+                    assert list(g) == list(want[name]), name
+                    for key, arr in g.items():
+                        assert arr.tobytes() == want[name][key].tobytes(), (fmt, phase, name, key)
 
 
 class TestInputsUnchanged:

@@ -1,11 +1,14 @@
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import fliqs.network as network
+import fliqs.search as search
 from fliqs.arch import arch_for
-from fliqs.data import BatchPlan
+from fliqs.data import BatchPlan, Dataset, write_idx
 from fliqs.errors import ConfigError, SearchAbort
 from fliqs.search import (
     ControllerConfig,
@@ -456,3 +459,38 @@ class TestBaselineBehavior:
     def test_serve_config_layer_order(self, search_result):
         doc = serve_config(search_result)
         assert [l["name"] for l in doc["layers"]] == ["fc1", "fc2", "out"]
+
+
+class TestCacheLifetime:
+    """No training forward starts while an earlier step's forward cache is alive."""
+
+    def test_earlier_patch_matrices_are_freed(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx(Dataset(rng.integers(0, 256, size=(200, 1, 8, 8)) / 255.0,
+                          rng.integers(0, 4, size=200), 4), images, labels)
+        patches = []   # weakrefs to the conv patch matrices of every training forward
+        calls = {"profile": 0, "train": 0}
+
+        def checked(orig, where):
+            def spy(net, x, *args, train=True, **kwargs):
+                if not train:
+                    return orig(net, x, *args, train=train, **kwargs)
+                alive = [i for i, ref in enumerate(patches) if ref() is not None]
+                assert not alive, f"{where} forward {calls[where]}: earlier patches alive"
+                calls[where] += 1
+                logits, cache = orig(net, x, *args, **kwargs)
+                for layer_cache in cache.layers:
+                    if isinstance(layer_cache, network.BranchCache):
+                        patches.extend(weakref.ref(cols) for *_, cols
+                                       in layer_cache.branches.values())
+                return logits, cache
+            return spy
+
+        monkeypatch.setattr(network, "forward", checked(network.forward, "profile"))
+        monkeypatch.setattr(search, "forward", checked(search.forward, "train"))
+        cfg = _cfg(model="cnn-small", total_steps=6, profile_batches=3,
+                   data={"kind": "idx", "images": str(images), "labels": str(labels)},
+                   trainer=TrainerConfig(batch_size=16, lr=0.05))
+        run_search(cfg)
+        assert calls == {"profile": 3, "train": 6}

@@ -13,8 +13,13 @@ and resource use (minor page faults and user/system CPU seconds, the
 `RUSAGE_CHILDREN` delta around the run), per-side medians and interquartile
 ranges, the machine record, and a flag for every end-to-end metric of
 BENCHMARK.json whose median on this tree is more than 10% worse than the
-base's.  Exits 1 when a metric is flagged or a
-run fails its checks.  Only the standard library is used.
+base's.  Every end-to-end metric also gets a claim verdict: the pairs this
+tree won (ties count for neither side), the gap between the medians in the
+better direction, the base's IQR, and `resolved`, true only when at least
+10 pairs ran, this tree won at least 9 in 10 of them and the gap exceeds
+the base's IQR.  Exits 1 when a metric is flagged or a run fails its
+checks; an unresolved verdict alone does not fail.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAG_PCT = 10.0
+MIN_PAIRS = 10      # a gain is resolved only over at least this many pairs
 RUSAGE = ("minor_faults", "minor_faults_per_step", "user_s", "sys_s")
 
 
@@ -91,8 +97,28 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(runs: list[dict], wl: str, metric: dict, sides: dict) -> dict:
+    """Whether this tree's gain on one metric is resolved: pairs won, median gap, base IQR."""
+    name = metric["name"]
+    sign = 1.0 if metric["better"] == "lower" else -1.0   # sign * (base - change) > 0 is a win
+    pairs: dict[int, dict] = {}
+    for r in runs:
+        if r["workload"] == wl:
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][name]
+    won = sum(sign * (p["base"] - p["change"]) > 0 for p in pairs.values())
+    gap = sign * (sides["base"]["median"] - sides["change"]["median"])
+    out = {"pairs": len(pairs), "pairs_won": won, "median_gap": gap,
+           "base_iqr": sides["base"]["iqr"],
+           # won at least nine in ten, counted in integers
+           "resolved": len(pairs) >= MIN_PAIRS and 10 * won >= 9 * len(pairs)
+           and gap > sides["base"]["iqr"]}
+    if len(pairs) < MIN_PAIRS:
+        out["note"] = f"only {len(pairs)} pairs ran; a gain needs at least {MIN_PAIRS}"
+    return out
+
+
 def summarize(runs: list[dict], spec: dict) -> tuple[dict, list[str]]:
-    """Per workload and end-to-end metric: each side's spread and the change."""
+    """Per workload and end-to-end metric: each side's spread, the change and its verdict."""
     summary, flags = {}, []
     for wl in sorted({r["workload"] for r in runs}):
         summary[wl] = {}
@@ -106,7 +132,8 @@ def summarize(runs: list[dict], spec: dict) -> tuple[dict, list[str]]:
             flagged = worse_pct > FLAG_PCT
             summary[wl][name] = {"unit": metric["unit"], "better": metric["better"],
                                  "bound_pct": metric["bound"] * 100.0, **sides,
-                                 "worse_pct": worse_pct, "flagged": flagged}
+                                 "worse_pct": worse_pct, "flagged": flagged,
+                                 "verdict": verdict(runs, wl, metric, sides)}
             if flagged:
                 flags.append(f"{wl} {name}: change median is {worse_pct:.1f}% worse "
                              f"than base ({sides['change']['median']:.4g} against "
@@ -173,6 +200,9 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(n=4, method='inclusive') over one side's runs",
             "flag": f"an end-to-end metric whose change median is more than {FLAG_PCT:g}% "
                     "worse than the base median",
+            "verdict": f"resolved when at least {MIN_PAIRS} pairs ran, the change won at "
+                       "least 9 in 10 of them (ties count for neither) and the median gap "
+                       "in the better direction exceeds the base's IQR",
             "rusage": "resource.getrusage(RUSAGE_CHILDREN) before and after each run; "
                       "minor_faults_per_step divides by the run's attempted search steps",
             "session": f"{started} to {finished}",
@@ -190,9 +220,16 @@ def main(argv=None) -> int:
     log(f"wrote {out}")
     for wl, metrics in summary.items():
         for name, s in metrics.items():
+            v = s["verdict"]
             log(f"{wl:10s} {name:20s} base {s['base']['median']:10.4g} "
-                f"change {s['change']['median']:10.4g}  worse {s['worse_pct']:+6.1f}%"
+                f"change {s['change']['median']:10.4g}  worse {s['worse_pct']:+6.1f}%  "
+                f"won {v['pairs_won']}/{v['pairs']}  gap {v['median_gap']:+.4g} "
+                f"(base IQR {v['base_iqr']:.4g})  "
+                f"{'resolved' if v['resolved'] else 'unresolved'}"
                 f"{'  FLAGGED' if s['flagged'] else ''}")
+    if args.pairs < MIN_PAIRS:
+        log(f"note: only {args.pairs} pairs ran; no gain is resolved with fewer than "
+            f"{MIN_PAIRS}")
     for wl, counters in doc["rusage_summary"].items():
         for name, s in counters.items():
             log(f"{wl:10s} {name:20s} base {s['base']['median']:10.4g} "
