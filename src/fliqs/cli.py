@@ -9,9 +9,7 @@ overwrites an existing one.  Exit codes: 0 on success, 2 for bad input
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import ctypes
 import json
 import os
 import shutil
@@ -625,47 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@contextlib.contextmanager
-def _heap_kept_for_reuse():
-    """Let glibc keep freed heap memory for reuse, and hand it back after the command.
-
-    A training step frees its forward caches (20-30 MB on the bench
-    workloads) and the next step allocates the same sizes again.  By default
-    glibc returns a free heap top larger than twice the largest block freed
-    so far to the kernel, so every step would fault those pages in afresh.
-    Here blocks up to 32 MB come from the heap and it is trimmed only beyond
-    64 MB free: the thresholds glibc's own rule settles at once a 32 MB
-    block is freed.  They stay set for the rest of the process.  When the
-    command returns, `malloc_trim` hands the free heap back, so what the
-    caller allocates next starts from the live memory.  Run results do not
-    change.  Without glibc this does nothing.
-    """
-    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
-    if libc is None or not hasattr(libc, "mallopt") or not hasattr(libc, "malloc_trim"):
-        yield
-        return
-    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    libc.mallopt.restype = ctypes.c_int
-    libc.malloc_trim.argtypes = (ctypes.c_size_t,)
-    libc.malloc_trim.restype = ctypes.c_int
-    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    try:
-        yield
-    finally:
-        libc.malloc_trim(0)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _heap_kept_for_reuse():
-            return args.func(args)
+        return args.func(args)
     except _BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

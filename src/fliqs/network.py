@@ -873,20 +873,6 @@ def sgd_step(net: Network, grads, state: SGDState, lr: float,
             w -= lr * v
 
 
-def _activation_sums(net: Network, images) -> list[tuple[str, float, float, int]]:
-    """(owner, sum, sum of squares, count) of one batch's raw activations per quant point.
-
-    The batch's forward cache dies on return, before the next batch's forward.
-    """
-    _, cache = forward(net, images)
-    sums = []
-    for layer, layer_cache in zip(net.layers, cache.layers):
-        if isinstance(layer, ReLU) and layer.owner is not None:
-            a = layer_cache.pre_quant
-            sums.append((layer.owner, float(a.sum()), float((a * a).sum()), a.size))
-    return sums
-
-
 def collect_activation_stats(net: Network, batch_iter, n_batches: int):
     """Mean/std of each quant point's raw activations over calibration batches."""
     sums: dict[str, float] = {}
@@ -894,10 +880,15 @@ def collect_activation_stats(net: Network, batch_iter, n_batches: int):
     counts: dict[str, int] = {}
     taken = 0
     for images, _ in batch_iter:
-        for owner, s, sq, n in _activation_sums(net, images):
-            sums[owner] = sums.get(owner, 0.0) + s
-            sqs[owner] = sqs.get(owner, 0.0) + sq
-            counts[owner] = counts.get(owner, 0) + n
+        _, cache = forward(net, images)
+        for layer, layer_cache in zip(net.layers, cache.layers):
+            if isinstance(layer, ReLU) and layer.owner is not None:
+                a = layer_cache.pre_quant
+                sums[layer.owner] = sums.get(layer.owner, 0.0) + float(a.sum())
+                sqs[layer.owner] = sqs.get(layer.owner, 0.0) + float((a * a).sum())
+                counts[layer.owner] = counts.get(layer.owner, 0) + a.size
+        # this batch's activations go before the next batch's forward
+        cache = layer_cache = a = None
         taken += 1
         if taken >= n_batches:
             break

@@ -1,5 +1,8 @@
+import ctypes
 import io
 import json
+import resource
+import sys
 import weakref
 
 import numpy as np
@@ -494,3 +497,36 @@ class TestCacheLifetime:
                    trainer=TrainerConfig(batch_size=16, lr=0.05))
         run_search(cfg)
         assert calls == {"profile": 3, "train": 6}
+
+
+def _glibc():
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    return libc if libc is not None and hasattr(libc, "gnu_get_libc_version") else None
+
+
+def _rss_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * resource.getpagesize()
+
+
+@pytest.mark.skipif(_glibc() is None, reason="the heap setting only acts on glibc")
+class TestHeapKeptForReuse:
+    """Inside a run, freed blocks are reused without new page faults; after it, handed back."""
+
+    def test_reuse_then_hand_back(self):
+        blocks, size = 12, 8 << 20      # 96 MB freed at once, above glibc's 64 MB cap
+        pages = blocks * size // resource.getpagesize()
+
+        def fill_and_free():
+            arrays = [np.ones(size // 8) for _ in range(blocks)]
+            del arrays
+
+        with search._heap_kept_for_reuse():
+            fill_and_free()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            fill_and_free()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            kept = _rss_bytes()
+        handed_back = kept - _rss_bytes()
+        assert faults < pages // 20
+        assert handed_back > blocks * size * 3 // 4
