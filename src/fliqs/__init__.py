@@ -14,16 +14,10 @@ quality against a bit-operations cost model.  Submodules:
 - ``analysis``: switching/clipping studies and correlation tools
 
 The top level re-exports what the CLI, the demos and README's examples use;
-everything else is imported from its submodule.
+everything else is imported from its submodule.  The analysis names load
+``analysis`` on first access, so a search never imports it.
 """
 
-from .analysis import (
-    SynthSpec,
-    clipping_sweep,
-    entropy_switch_correlation,
-    fit_exponential,
-    switching_sweep,
-)
 from .arch import ArchChoice, arch_for
 from .controller import (
     advantage_update,
@@ -74,6 +68,19 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+
+# the analysis studies load on first use of one of their names: a search never runs them
+_ANALYSIS_NAMES = ("SynthSpec", "clipping_sweep", "entropy_switch_correlation",
+                   "fit_exponential", "switching_sweep")
+
+
+def __getattr__(name):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     # analysis

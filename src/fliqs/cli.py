@@ -14,15 +14,12 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import SynthSpec, clipping_sweep, entropy_switch_correlation, \
-    fit_exponential, switching_sweep
 from .arch import ArchChoice
 from .costmodel import GBOPS, layer_cost, load_manifest, model_cost
 from .errors import ConfigError, DataError, FitError, FliqsError, FormatSpecError, \
@@ -263,6 +260,9 @@ def cmd_sweep(args) -> int:
     if args.jobs == 1:
         outcomes = [_sweep_worker(job) for job in jobs]
     else:
+        # multiprocessing loads only for a sweep that runs in parallel
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
 
@@ -305,7 +305,9 @@ class SynthStudy:
                  self.outlier_rate)
         _require(self.seed >= 0, "seed", ">= 0", self.seed)
 
-    def spec(self) -> SynthSpec:
+    def spec(self):
+        from .analysis import SynthSpec
+
         return SynthSpec(self.distribution, self.tensor_size, self.outlier_rate,
                          self.outlier_scale)
 
@@ -357,6 +359,8 @@ class EntropyStudy:
 
 
 def _analyze_switching(study: SwitchingStudy, out_dir: Path) -> dict:
+    from .analysis import fit_exponential, switching_sweep
+
     sweep = switching_sweep(study.k1, study.k2, study.spec(), trials=study.trials,
                             seed=study.seed, percentile=study.percentile)
     with open(out_dir / "switching.csv", "w", newline="") as fh:
@@ -383,6 +387,8 @@ def _analyze_switching(study: SwitchingStudy, out_dir: Path) -> dict:
 
 
 def _analyze_clipping(study: ClippingStudy, out_dir: Path) -> dict:
+    from .analysis import clipping_sweep
+
     fmts = [resolve_format(n) for n in study.formats]
     percentiles = None
     if study.grid is not None:
@@ -424,6 +430,8 @@ _ENTROPY_COLUMNS = (("step", int), ("entropy", float), ("switch_rms", float))
 
 
 def _analyze_entropy(study: EntropyStudy, out_dir: Path) -> dict:
+    from .analysis import entropy_switch_correlation
+
     run = Path(study.run_dir)
     trace_path = run / "trace.csv"
     if not trace_path.exists():

@@ -42,6 +42,8 @@ ReLU and every quantizer are non-decreasing (ReLU also turns -0.0 into
 +0.0 in either order).  Training keeps ReLU then pool, because its backward
 sends each window's gradient to the first maximum of the *quantized*
 values, and quantization ties make that differ from the raw maximum.
+Calibration runs the layers with train off too, but in training order, so
+it sums each ReLU's whole output and keeps no backward state.
 Kernels write only into arrays they allocated themselves (the bias add and
 width mask go into the layer's fresh output, quantize rounds its own
 clipped copy); an input may be the caller's array.
@@ -172,6 +174,7 @@ class Layer:
 
     kind = "base"
     is_compute = False
+    sums = False        # the output sums inputs, so it can overflow where they did not
 
     def __init__(self, name: str):
         self.name = name
@@ -195,6 +198,7 @@ class ComputeLayer(Layer):
     """
 
     is_compute = True
+    sums = True
     out_channels: int
     base_kernel: int | None = None      # conv layers set both
     kernel_sizes: tuple[int, ...] = ()
@@ -272,8 +276,10 @@ class Dense(ComputeLayer):
 
 def _windows(x, k):
     """(n, c, h, w, k, k) strided view of x's same-padded k x k windows; im2col copies it."""
+    n, c, h, w = x.shape
     p = k // 2
-    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    x_pad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    x_pad[:, :, p : p + h, p : p + w] = x
     return np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
 
 
@@ -501,6 +507,7 @@ class MaxPool2D(Layer):
 
 class AvgPool2D(Layer):
     kind = "avgpool"
+    sums = True
 
     def __init__(self, name, size=2):
         super().__init__(name)
@@ -518,6 +525,7 @@ class AvgPool2D(Layer):
 
 class GlobalAvgPool(Layer):
     kind = "gap"
+    sums = True
 
     def forward(self, x):
         return x.mean(axis=(2, 3)), x.shape
@@ -755,6 +763,62 @@ class ForwardCache(NamedTuple):
     layers: list                # layers[i] is what net.layers[i].forward returned as its cache
 
 
+def _layer_outputs(net: Network, x, archs, phase: QuantPhase | None,
+                   thresholds: ThresholdTable | None, joint_branches: bool,
+                   train: bool, pool_first: bool):
+    """Run x through net's layers, yielding (layer, output, cache) for each that ran.
+
+    The one per-layer dispatch of `forward` and of calibration.  With
+    pool_first each ReLU -> MaxPool2D pair runs pool first and yields only
+    the ReLU.  An output is scanned for non-finite values only where one can
+    first appear from finite input: layers that sum (compute layers and
+    average pools) and a ReLU that rounds through float32 (BF16).  A ReLU
+    otherwise, a max pool and a flatten only select or clip, so the error
+    names the first layer with a non-finite output.
+    """
+    phase = phase or QuantPhase()
+    quant_on = phase.weight_quant or phase.act_quant
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != tuple(net.input_shape):
+        raise DomainError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
+    layers = net.layers
+    # the pools that run early, by index
+    pooled_early = {
+        i + 1 for i, (a, b) in enumerate(zip(layers, layers[1:]))
+        if isinstance(a, ReLU) and isinstance(b, MaxPool2D)
+    } if pool_first else set()
+    chosen: dict[str, ArchChoice] = {}
+    for i, layer in enumerate(layers):
+        if i in pooled_early:
+            continue
+        quant = None
+        check = layer.sums
+        if layer.is_compute:
+            arch = _arch_for_layer(layer, archs) if quant_on or archs else _FLOAT_ARCH
+            chosen[layer.name] = arch
+            if phase.weight_quant:
+                quant = _quantizer(thresholds, layer.name, arch.fmt, "weight")
+            y, cache = layer.forward(x, arch, quant, joint_branches, train)
+        elif isinstance(layer, ReLU):
+            if phase.act_quant and layer.owner is not None:
+                quant = _quantizer(thresholds, layer.owner, chosen[layer.owner].fmt, "activation")
+            # BF16 rounds through float32, whose range a finite float64 can exceed
+            check = quant is not None and quant.threshold is None
+            if i + 1 in pooled_early:
+                x, _ = layers[i + 1].forward(x, False)
+            y, cache = layer.forward(x, quant, train)
+        elif isinstance(layer, MaxPool2D):
+            y, cache = layer.forward(x, train)
+        else:
+            y, cache = layer.forward(x)
+        if check and not np.all(np.isfinite(y)):
+            raise NumericalError(
+                f"layer {layer.name!r} (index {i}) produced non-finite activations"
+            )
+        yield layer, y, cache
+        x = y
+
+
 def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
             thresholds: ThresholdTable | None = None,
             joint_branches: bool = False, train: bool = True):
@@ -769,47 +833,11 @@ def forward(net: Network, x, archs=None, phase: QuantPhase | None = None,
     pool first, and the result is (logits, None); the logits are the same
     bits as with train True.
     """
-    phase = phase or QuantPhase()
-    quant_on = phase.weight_quant or phase.act_quant
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != tuple(net.input_shape):
-        raise DomainError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
-    layers = net.layers
-    # inference runs each ReLU -> MaxPool2D pair pool first: these pools, by index
-    pooled_early = set() if train else {
-        i + 1 for i, (a, b) in enumerate(zip(layers, layers[1:]))
-        if isinstance(a, ReLU) and isinstance(b, MaxPool2D)
-    }
     caches = []
-    chosen: dict[str, ArchChoice] = {}
-    for i, layer in enumerate(layers):
-        if i in pooled_early:
-            continue
-        quant = None
-        if layer.is_compute:
-            arch = _arch_for_layer(layer, archs) if quant_on or archs else _FLOAT_ARCH
-            chosen[layer.name] = arch
-            if phase.weight_quant:
-                quant = _quantizer(thresholds, layer.name, arch.fmt, "weight")
-            y, cache = layer.forward(x, arch, quant, joint_branches, train)
-        elif isinstance(layer, ReLU):
-            if phase.act_quant and layer.owner is not None:
-                quant = _quantizer(thresholds, layer.owner, chosen[layer.owner].fmt, "activation")
-            if i + 1 in pooled_early:  # x is finite, so the pooled x is too
-                x, _ = layers[i + 1].forward(x, False)
-            y, cache = layer.forward(x, quant, train)
-        elif isinstance(layer, MaxPool2D):
-            y, cache = layer.forward(x, train)
-        else:
-            y, cache = layer.forward(x)
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(
-                f"layer {layer.name!r} (index {i}) produced non-finite activations"
-            )
-        if train:
-            caches.append(cache)
-        x = y
-    return x, ForwardCache(x, caches) if train else None
+    for _, y, cache in _layer_outputs(net, x, archs, phase, thresholds, joint_branches,
+                                      train, pool_first=not train):
+        caches.append(cache)
+    return y, ForwardCache(y, caches) if train else None
 
 
 def cross_entropy(logits, labels) -> float:
@@ -874,21 +902,22 @@ def sgd_step(net: Network, grads, state: SGDState, lr: float,
 
 
 def collect_activation_stats(net: Network, batch_iter, n_batches: int):
-    """Mean/std of each quant point's raw activations over calibration batches."""
+    """Mean/std of each quant point's raw activations over calibration batches.
+
+    A float pass in training order (ReLU before max pool) that builds no
+    backward state: each owner ReLU's output is its pre-quant value.
+    """
     sums: dict[str, float] = {}
     sqs: dict[str, float] = {}
     counts: dict[str, int] = {}
     taken = 0
     for images, _ in batch_iter:
-        _, cache = forward(net, images)
-        for layer, layer_cache in zip(net.layers, cache.layers):
+        for layer, a, _ in _layer_outputs(net, images, None, None, None, False,
+                                          train=False, pool_first=False):
             if isinstance(layer, ReLU) and layer.owner is not None:
-                a = layer_cache.pre_quant
                 sums[layer.owner] = sums.get(layer.owner, 0.0) + float(a.sum())
                 sqs[layer.owner] = sqs.get(layer.owner, 0.0) + float((a * a).sum())
                 counts[layer.owner] = counts.get(layer.owner, 0) + a.size
-        # this batch's activations go before the next batch's forward
-        cache = layer_cache = a = None
         taken += 1
         if taken >= n_batches:
             break

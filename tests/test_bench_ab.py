@@ -1,6 +1,11 @@
 """The claim verdict of tools/bench_ab.py, fed synthetic runs."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,3 +82,58 @@ def test_fewer_than_ten_pairs_are_never_resolved():
     v = _verdicts([(175.0 + i, 1.0) for i in range(4)], [(127.0, 1.0)] * 4)["peak_rss_mb"]
     assert (v["pairs"], v["pairs_won"], v["resolved"]) == (4, 4, False)
     assert v["note"] == "only 4 pairs ran; a gain needs at least 10"
+
+
+# a stand-in for bench/run.py: writes its pid, then sleeps well past the test
+_FAKE_RUN = """
+import os, sys, time
+with open(sys.argv[sys.argv.index("--seed") + 1] + ".pid", "w") as f:
+    f.write(str(os.getpid()))
+time.sleep(120)
+"""
+
+_PARENT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_ab", sys.argv[1])
+bench_ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_ab)
+bench_ab.ROOT = bench_ab.Path(sys.argv[2])
+bench_ab.exit_on_sigterm()
+bench_ab.run_once(bench_ab.ROOT, "desk-int", 7, 1.0)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_takes_the_running_child_with_it(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(_FAKE_RUN)
+    parent = subprocess.Popen([sys.executable, "-c", _PARENT, str(_PATH), str(tmp_path)],
+                              stderr=subprocess.PIPE, text=True)
+    pid_file = tmp_path / "7.pid"
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline and parent.poll() is None, \
+                parent.stderr.read() if parent.poll() is not None else "no child started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        parent.send_signal(signal.SIGTERM)
+        assert parent.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while _alive(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(child)
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        if child is not None and _alive(child):
+            os.kill(child, signal.SIGKILL)

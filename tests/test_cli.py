@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -619,6 +620,20 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_gbops"] == pytest.approx(467.7, rel=0.01)
+
+    def test_search_imports_leave_out_sweeps_and_analysis(self):
+        # a fresh interpreter: this one has loaded everything the other tests used
+        import fliqs
+
+        code = ("import sys; import fliqs; from fliqs import cli, search, network, formats; "
+                "print(sorted(m for m in ('multiprocessing', 'fliqs.analysis') "
+                "if m in sys.modules)); "
+                "print(fliqs.SynthSpec.__module__, 'fliqs.analysis' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(fliqs.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "fliqs.analysis True"]
 
     def test_package_exports_cover_the_demos(self):
         import fliqs

@@ -136,16 +136,16 @@ class TestPixelBytes:
         want_x, want_y = validation_set(ref, plan)
         assert _same_bits(x, want_x) and np.array_equal(y, want_y)
 
-        # profiling sees the same bits: the inputs of its calibration forwards
+        # profiling sees the same bits: the inputs of its calibration passes
         seen = []
-        orig = network.forward
+        orig = network._layer_outputs
 
         def spy(net, x, *args, **kwargs):
             seen.append(np.array(x))
             return orig(net, x, *args, **kwargs)
 
         net = build_model(builtin_model_config("mlp-2x16", [1, 6, 5], 3), seed=0)
-        monkeypatch.setattr(network, "forward", spy)
+        monkeypatch.setattr(network, "_layer_outputs", spy)
         for data in (ds, ref):
             profile_thresholds(net, batches(data, plan, epoch=0), ["INT8"], n_batches=3)
         assert len(seen) == 6

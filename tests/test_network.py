@@ -1,3 +1,6 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,10 @@ from hypothesis import strategies as st
 
 from fliqs.arch import arch_for
 from fliqs.costmodel import uniform_cost
-from fliqs.errors import ConfigError, DataError, DomainError, ThresholdError
+from fliqs.errors import ConfigError, DataError, DomainError, NumericalError, ThresholdError
 from fliqs.formats import int_format, resolve_format
 from fliqs.network import (
+    BranchedConv,
     Dense,
     MaxPool2D,
     Network,
@@ -901,3 +905,124 @@ class TestInputsUnchanged:
         for l, p in net.parameters().items():
             for k, a in p.items():
                 assert a.tobytes() == masters[f"{l}/{k}"].tobytes(), (l, k)
+
+
+class TestCalibration:
+    """Calibration is a float pass in training order that builds no backward state."""
+
+    # the nas-fp layout with kernel options on both depthwise layers
+    DS_NET_BOTH = dict(TestInferenceForward.DS_NET, layers=[
+        dict(l, kernel_options=[3, 5]) if l["type"] == "depthwise_conv" else l
+        for l in TestInferenceForward.DS_NET["layers"]])
+    FORMATS = ("INT4", "INT6", "INT8", "E2M1", "E4M3", "BF16")
+
+    @staticmethod
+    def _case(model):
+        if model == "dense-first":
+            net, x, _, _ = TestFirstLayerBackward._dense_first_case()
+            batches = [x, x[::-1] * 1.5, x + 0.25]
+        else:
+            net = build_model(TestCalibration.DS_NET_BOTH if model == "ds-net-both" else model,
+                              seed=2)
+            rng = np.random.default_rng(5)
+            # three pixel levels, as in TestInferenceForward: ties from the first pool on
+            batches = [rng.integers(0, 3, size=(8, 1, 28, 28)) / 2.0 for _ in range(3)]
+        return net, [(b, None) for b in batches]
+
+    @staticmethod
+    def _table_from_training_caches(net, batches, formats):
+        """The thresholds of each owner ReLU's pre_quant in forward(net, x)'s caches."""
+        sums, sqs, counts = {}, {}, {}
+        for x, _ in batches:
+            _, cache = forward(net, x)
+            for layer, layer_cache in zip(net.layers, cache.layers):
+                if layer.kind == "relu" and layer.owner is not None:
+                    a = layer_cache.pre_quant
+                    sums[layer.owner] = sums.get(layer.owner, 0.0) + float(a.sum())
+                    sqs[layer.owner] = sqs.get(layer.owner, 0.0) + float((a * a).sum())
+                    counts[layer.owner] = counts.get(layer.owner, 0) + a.size
+        table = ThresholdTable()
+        for layer in net.compute_layers():
+            table.set_weight(layer.name, layer.max_abs_weight())
+            for fmt in map(resolve_format, formats):
+                if fmt.kind == "bf16":
+                    continue
+                std = None
+                if layer.name in counts:
+                    n = counts[layer.name]
+                    mean = sums[layer.name] / n
+                    std = math.sqrt(max(sqs[layer.name] / n - mean * mean, 0.0))
+                table.set_act(layer.name, fmt.name,
+                              None if std is None else std_multiple_for(fmt) * std)
+        return table
+
+    @pytest.mark.parametrize("model", ["cnn-small", "ds-net-both", "dense-first"])
+    def test_thresholds_match_the_training_forward_bit_for_bit(self, model):
+        net, batches = self._case(model)
+        want = self._table_from_training_caches(net, batches, self.FORMATS)
+        got = profile_thresholds(net, iter(batches), self.FORMATS, n_batches=len(batches))
+        for layer in net.compute_layers():
+            for fmt in map(resolve_format, self.FORMATS):
+                for which in ("weight_threshold", "act_threshold"):
+                    a = getattr(got, which)(layer.name, fmt)
+                    b = getattr(want, which)(layer.name, fmt)
+                    assert (a is None) == (b is None), (layer.name, fmt.name, which)
+                    if a is not None:
+                        assert a.hex() == b.hex(), (layer.name, fmt.name, which)
+
+    @pytest.mark.parametrize("model", ["cnn-small", "ds-net-both", "dense-first"])
+    def test_no_layer_runs_with_train_on(self, model, monkeypatch):
+        net, batches = self._case(model)
+        seen = []
+        for cls in (BranchedConv, Dense, ReLU, MaxPool2D):
+            sig = inspect.signature(cls.forward)
+
+            def spy(self, *args, _orig=cls.forward, _sig=sig, **kwargs):
+                bound = _sig.bind(self, *args, **kwargs)
+                bound.apply_defaults()
+                seen.append((self.kind, bound.arguments["train"]))
+                y, cache = _orig(self, *args, **kwargs)
+                assert cache is None, self.name
+                return y, cache
+            monkeypatch.setattr(cls, "forward", spy)
+        profile_thresholds(net, iter(batches), ["INT4"], n_batches=len(batches))
+        kinds = {l.kind for l in net.layers} & {"conv", "depthwise_conv", "dense", "relu",
+                                                  "maxpool"}
+        assert {kind for kind, _ in seen} == kinds
+        assert not any(train for _, train in seen)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNonFiniteOutputs:
+    """The error names the first layer with a non-finite output, whichever layers are scanned."""
+
+    @staticmethod
+    def _net_and_input():
+        net = build_model("cnn-small", seed=3)
+        x = np.random.default_rng(0).random((4, 1, 28, 28))
+        return net, x
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_overflowing_conv2_is_named(self, train):
+        net, x = self._net_and_input()
+        conv2 = net.layers[3]
+        conv2.weights[3][...] = 1e308      # sums of positive inputs overflow to inf
+        with pytest.raises(NumericalError, match=r"layer 'conv2' \(index 3\)"):
+            forward(net, x, train=train)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_bf16_activation_overflow_is_named_at_its_relu(self, train):
+        net, x = self._net_and_input()
+        conv2 = net.layers[3]
+        conv2.weights[3][...] = 1e300      # finite in float64, beyond float32's range
+        archs = {l.name: arch_for(BF16) for l in net.searchable_layers()}
+        relu2 = net.layers[4]
+        forward(net, x, archs, QuantPhase(), train=train)   # float activations: finite
+        with pytest.raises(NumericalError, match=f"layer {relu2.name!r} \\(index 4\\)"):
+            forward(net, x, archs, QuantPhase(act_quant=True), train=train)
+
+    def test_calibration_names_the_overflowing_layer(self):
+        net, x = self._net_and_input()
+        net.layers[3].weights[3][...] = 1e308
+        with pytest.raises(NumericalError, match="'conv2'"):
+            profile_thresholds(net, [(x, None)], ["INT4"], n_batches=1)

@@ -465,7 +465,8 @@ class TestBaselineBehavior:
 
 
 class TestCacheLifetime:
-    """No training forward starts while an earlier step's forward cache is alive."""
+    """Calibration builds no backward cache; no training forward starts while an
+    earlier step's forward cache is alive."""
 
     def test_earlier_patch_matrices_are_freed(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
@@ -474,6 +475,25 @@ class TestCacheLifetime:
                           rng.integers(0, 4, size=200), 4), images, labels)
         patches = []   # weakrefs to the conv patch matrices of every training forward
         calls = {"profile": 0, "train": 0}
+        profiling = []
+
+        def calibration_spy(orig):
+            def spy(self, *args, **kwargs):
+                y, cache = orig(self, *args, **kwargs)
+                if profiling:
+                    assert cache is None, f"calibration built a cache in {self.name}"
+                    calls["profile"] += self.name == "conv1"
+                return y, cache
+            return spy
+
+        def profiled(orig):
+            def spy(*args, **kwargs):
+                profiling.append(True)
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    profiling.clear()
+            return spy
 
         def checked(orig, where):
             def spy(net, x, *args, train=True, **kwargs):
@@ -490,13 +510,49 @@ class TestCacheLifetime:
                 return logits, cache
             return spy
 
-        monkeypatch.setattr(network, "forward", checked(network.forward, "profile"))
+        for cls in (network.BranchedConv, network.Dense, network.ReLU, network.MaxPool2D):
+            monkeypatch.setattr(cls, "forward", calibration_spy(cls.forward))
+        monkeypatch.setattr(search, "profile_thresholds", profiled(search.profile_thresholds))
         monkeypatch.setattr(search, "forward", checked(search.forward, "train"))
         cfg = _cfg(model="cnn-small", total_steps=6, profile_batches=3,
                    data={"kind": "idx", "images": str(images), "labels": str(labels)},
                    trainer=TrainerConfig(batch_size=16, lr=0.05))
         run_search(cfg)
         assert calls == {"profile": 3, "train": 6}
+
+
+class TestQuietLibrary:
+    """Library calls write nothing to stdout: a CLI's stdout belongs to its caller.
+
+    `bench/run.py` reads its result from the last stdout line, so diagnostics
+    go to stderr.  capfd catches writes to file descriptor 1 as well as to
+    sys.stdout.
+    """
+
+    def test_search_and_serving_print_nothing(self, tmp_path, capfd):
+        from fliqs.network import QuantPhase, save_weights
+
+        rng = np.random.default_rng(1)
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx(Dataset(rng.integers(0, 256, size=(160, 1, 8, 8)) / 255.0,
+                          rng.integers(0, 4, size=160), 4), images, labels)
+        cfg = _cfg(model="cnn-small", total_steps=4, profile_batches=2,
+                   data={"kind": "idx", "images": str(images), "labels": str(labels)},
+                   trainer=TrainerConfig(batch_size=16, lr=0.05))
+        capfd.readouterr()
+        res = run_search(cfg)
+        doc = json.loads(json.dumps(serve_config(res)))
+        wpath = tmp_path / "weights.bin"
+        save_weights(res.net, wpath)
+        assert capfd.readouterr().out == ""
+
+        net, archs, thresholds = search.load_served(doc, wpath)
+        ds = build_dataset(cfg.data, cfg.seed)
+        search.evaluate_accuracy(net, ds.images_at(np.arange(32)), ds.labels[:32], archs,
+                                 QuantPhase(True, True), thresholds, 16)
+        plan = BatchPlan(cfg.trainer.batch_size, cfg.seed, cfg.trainer.validation_fraction)
+        served_accuracy_from_files(doc, wpath, ds, plan)
+        assert capfd.readouterr().out == ""
 
 
 def _glibc():

@@ -18,8 +18,8 @@ tree won (ties count for neither side), the gap between the medians in the
 better direction, the base's IQR, and `resolved`, true only when at least
 10 pairs ran, this tree won at least 9 in 10 of them and the gap exceeds
 the base's IQR.  Exits 1 when a metric is flagged or a run fails its
-checks; an unresolved verdict alone does not fail.  Only the standard
-library is used.
+checks; an unresolved verdict alone does not fail.  A SIGTERM ends the
+run under way and exits 143.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -68,15 +69,23 @@ def run_once(side_root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(cmd, cwd=side_root, capture_output=True, text=True)
+    proc = subprocess.Popen(cmd, cwd=side_root, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        # an interrupted run (SIGTERM, Ctrl-C) takes its child with it
+        if proc.poll() is None:
+            proc.terminate()
+            proc.wait()
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if proc.returncode != 0 or not proc.stdout.strip():
-        tail = proc.stderr.strip().splitlines()[-5:]
+    if proc.returncode != 0 or not stdout.strip():
+        tail = stderr.strip().splitlines()[-5:]
         raise SystemExit(f"{' '.join(cmd)} in {side_root} exited {proc.returncode}: "
                          + " | ".join(tail))
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(stdout.strip().splitlines()[-1])
     machine = None
-    for line in proc.stderr.splitlines():
+    for line in stderr.splitlines():
         if line.startswith("machine: "):
             machine = json.loads(line[len("machine: "):])
     faults = after.ru_minflt - before.ru_minflt
@@ -150,7 +159,15 @@ def summarize_rusage(runs: list[dict]) -> dict:
             for wl in sorted({r["workload"] for r in runs})}
 
 
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, so `finally` blocks stop the child and clean up."""
+    def handler(signum, frame):
+        raise SystemExit(128 + signum)
+    signal.signal(signal.SIGTERM, handler)
+
+
 def main(argv=None) -> int:
+    exit_on_sigterm()
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
